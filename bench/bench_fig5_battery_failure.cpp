@@ -45,7 +45,9 @@ platform::RunnerConfig fig5_config(bool sesame_on) {
   return cfg;
 }
 
-void report() {
+/// Prints the paper comparison; returns the number of failed shape checks.
+int report() {
+  sesame::bench::ShapeChecks shape;
   std::printf("==============================================================\n");
   std::printf("Fig. 5 — Probability of Failure of a UAV with Battery Failure\n");
   std::printf("==============================================================\n");
@@ -93,9 +95,9 @@ void report() {
               with.waypoints_redistributed);
   std::printf("\nShape checks: SESAME availability > baseline: %s | "
               "SESAME completes sooner: %s\n\n",
-              avail_with > avail_without ? "PASS" : "FAIL",
-              (t_with > 0 && (t_without < 0 || t_with < t_without)) ? "PASS"
-                                                                    : "FAIL");
+              shape.check(avail_with > avail_without),
+              shape.check(t_with > 0 && (t_without < 0 || t_with < t_without)));
+  return shape.failed();
 }
 
 void BM_ReliabilityEvaluate(benchmark::State& state) {
@@ -130,6 +132,6 @@ BENCHMARK(BM_Fig5FullScenario)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report();
-  return sesame::bench::run_main(argc, argv);
+  const int shape_failures = report();
+  return sesame::bench::run_main(argc, argv, shape_failures);
 }

@@ -88,7 +88,9 @@ Trajectory run_leg(bool spoofed, bool monitored, bool authenticated = false) {
   return out;
 }
 
-void report() {
+/// Prints the paper comparison; returns the number of failed shape checks.
+int report() {
+  sesame::bench::ShapeChecks shape;
   std::printf("==============================================================\n");
   std::printf("Fig. 6 — Area mapping with and without spoofing attack\n");
   std::printf("==============================================================\n");
@@ -131,12 +133,12 @@ void report() {
   std::printf("\nShape checks: deviation > 50 m at end: %s | detection within "
               "2 s of onset: %s | clean run stays on lane: %s | "
               "mitigation holds lane: %s\n\n",
-              final_dev > 50.0 ? "PASS" : "FAIL",
-              (attacked.detection_time >= 0.0 &&
-               attacked.detection_time - kSpoofStart <= 2.0)
-                  ? "PASS" : "FAIL",
-              std::abs(clean.truth.back().east_m) < 5.0 ? "PASS" : "FAIL",
-              mitigated_dev < 5.0 ? "PASS" : "FAIL");
+              shape.check(final_dev > 50.0),
+              shape.check(attacked.detection_time >= 0.0 &&
+                          attacked.detection_time - kSpoofStart <= 2.0),
+              shape.check(std::abs(clean.truth.back().east_m) < 5.0),
+              shape.check(mitigated_dev < 5.0));
+  return shape.failed();
 }
 
 void BM_SpoofedLeg(benchmark::State& state) {
@@ -161,6 +163,6 @@ BENCHMARK(BM_IdsInspectionPerMessage);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report();
-  return sesame::bench::run_main(argc, argv);
+  const int shape_failures = report();
+  return sesame::bench::run_main(argc, argv, shape_failures);
 }

@@ -102,7 +102,9 @@ LandingOutcome guided_landing(bool with_cl, bool print_track) {
   return out;
 }
 
-void report() {
+/// Prints the paper comparison; returns the number of failed shape checks.
+int report() {
+  sesame::bench::ShapeChecks shape;
   std::printf("==============================================================\n");
   std::printf("Fig. 7 — Collaborative Localization safe landing without GPS\n");
   std::printf("==============================================================\n\n");
@@ -123,10 +125,10 @@ void report() {
               with_cl.fixes);
   std::printf("\nShape checks: CL lands within 8 m: %s | CL beats dead "
               "reckoning: %s\n\n",
-              (with_cl.landed && with_cl.landing_error_m < 8.0) ? "PASS"
-                                                                : "FAIL",
-              with_cl.landing_error_m < without_cl.landing_error_m ? "PASS"
-                                                                   : "FAIL");
+              shape.check(with_cl.landed && with_cl.landing_error_m < 8.0),
+              shape.check(with_cl.landing_error_m <
+                          without_cl.landing_error_m));
+  return shape.failed();
 }
 
 void BM_CollaborativeFix(benchmark::State& state) {
@@ -152,6 +154,6 @@ BENCHMARK(BM_FullGuidedLanding)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report();
-  return sesame::bench::run_main(argc, argv);
+  const int shape_failures = report();
+  return sesame::bench::run_main(argc, argv, shape_failures);
 }

@@ -50,8 +50,25 @@ inline std::vector<char*> rewrite_json_flag(int argc, char** argv,
   return args;
 }
 
+/// Tally of a bench's paper shape checks: check(ok) returns the "PASS" /
+/// "FAIL" label the report prints and counts the failures.
+class ShapeChecks {
+ public:
+  const char* check(bool ok) {
+    if (!ok) ++failed_;
+    return ok ? "PASS" : "FAIL";
+  }
+  int failed() const noexcept { return failed_; }
+
+ private:
+  int failed_ = 0;
+};
+
 /// Drop-in replacement for BENCHMARK_MAIN()'s body with `--json` support.
-inline int run_main(int argc, char** argv) {
+/// `shape_failures` is the number of paper shape checks the bench's report
+/// failed: any failure makes the exit status 1, also when a benchmark
+/// filter matches nothing (`--benchmark_filter='^$'` runs just the checks).
+inline int run_main(int argc, char** argv, int shape_failures = 0) {
   std::vector<std::string> storage;
   std::vector<char*> args = rewrite_json_flag(argc, argv, storage);
   int n = static_cast<int>(args.size());
@@ -59,7 +76,7 @@ inline int run_main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return shape_failures > 0 ? 1 : 0;
 }
 
 }  // namespace sesame::bench

@@ -71,7 +71,9 @@ AltitudePoint measure_altitude(double altitude_m) {
   return p;
 }
 
-void report() {
+/// Prints the paper comparison; returns the number of failed shape checks.
+int report() {
+  sesame::bench::ShapeChecks shape;
   std::printf("==============================================================\n");
   std::printf("Section V-B — Search and Rescue Accuracy\n");
   std::printf("==============================================================\n");
@@ -121,10 +123,11 @@ void report() {
               100.0 * baseline.detection.recall());
   std::printf("\nShape checks: SESAME recall >= baseline recall: %s | "
               "descend fired: %s | post-descend uncertainty < 90%%: %s\n\n",
-              sesame.detection.recall() >= baseline.detection.recall()
-                  ? "PASS" : "FAIL",
-              sesame.descended ? "PASS" : "FAIL",
-              (n > 0 && low_alt_unc < 0.90) ? "PASS" : "FAIL");
+              shape.check(sesame.detection.recall() >=
+                          baseline.detection.recall()),
+              shape.check(sesame.descended),
+              shape.check(n > 0 && low_alt_unc < 0.90));
+  return shape.failed();
 }
 
 void BM_UncertaintyPipelineTick(benchmark::State& state) {
@@ -159,6 +162,6 @@ BENCHMARK(BM_SinadraAssessment);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report();
-  return sesame::bench::run_main(argc, argv);
+  const int shape_failures = report();
+  return sesame::bench::run_main(argc, argv, shape_failures);
 }

@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,15 +35,22 @@ using namespace sesame;
 namespace {
 
 /// Moves bytes between the bridge and the socket (both directions).
-/// Returns false when the peer hung up.
+/// Returns false when the peer hung up. Writes use MSG_NOSIGNAL: a peer
+/// that closed first makes send() fail with EPIPE/ECONNRESET instead of
+/// killing this process with SIGPIPE, and what it sent before closing is
+/// still read (and delivered) before the hang-up is reported.
 bool pump_socket(mw::BusBridge& bridge, int fd,
                  std::vector<std::uint8_t>& unsent) {
+  bool peer_open = true;
   if (unsent.empty() && bridge.has_outbound()) unsent = bridge.take_outbound();
   while (!unsent.empty()) {
-    const ssize_t n = ::write(fd, unsent.data(), unsent.size());
+    const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
     if (n < 0) {
+      if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
+      unsent.clear();  // EPIPE / ECONNRESET: nobody left to read it
+      peer_open = false;
+      break;
     }
     unsent.erase(unsent.begin(), unsent.begin() + n);
     if (unsent.empty() && bridge.has_outbound())
@@ -53,7 +61,8 @@ bool pump_socket(mw::BusBridge& bridge, int fd,
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n == 0) return false;  // peer closed
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return peer_open;
       return false;
     }
     bridge.feed_inbound({buf, static_cast<std::size_t>(n)});

@@ -282,8 +282,18 @@ int main(int argc, char** argv) {
       }
 
       if (!conn.out.empty()) {
-        const ssize_t n = ::write(conn.fd, conn.out.data(), conn.out.size());
-        if (n > 0) conn.out.erase(0, static_cast<std::size_t>(n));
+        // MSG_NOSIGNAL: a client that reset its connection yields
+        // EPIPE/ECONNRESET here, not a SIGPIPE that kills the daemon. The
+        // peer is gone, so the connection is dropped with what it was owed.
+        const ssize_t n =
+            ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+        if (n > 0) {
+          conn.out.erase(0, static_cast<std::size_t>(n));
+        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR) {
+          closed.push_back(conn.fd);
+          continue;
+        }
       }
       if (conn.out.empty() && conn.closing) closed.push_back(conn.fd);
     }

@@ -54,9 +54,12 @@ int dial(std::uint16_t port) {
   return fd;
 }
 
+/// Writes all `n` bytes. MSG_NOSIGNAL turns a daemon that reset the
+/// connection into a false return (EPIPE/ECONNRESET) instead of SIGPIPE.
 bool send_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
+    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
     if (w <= 0) return false;
     data += w;
     n -= static_cast<std::size_t>(w);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace sesame::deepknowledge {
@@ -98,43 +97,36 @@ Analyzer::Analyzer(const Mlp& model, const std::vector<std::vector<double>>& tra
   generalisation_shift_ = tk_neurons_.empty() ? 0.0 : acc / static_cast<double>(k);
 }
 
-CoverageReport Analyzer::assess(
-    const Mlp& model, const std::vector<std::vector<double>>& window) const {
-  if (window.empty()) {
-    throw std::invalid_argument("Analyzer::assess: empty window");
-  }
-  // Hit set of (tk_index, bucket); out-of-range activations counted apart.
-  std::set<std::pair<std::size_t, std::size_t>> hits;
-  std::size_t total_obs = 0;
-  std::size_t oor = 0;
-
-  ActivationTrace trace;
-  for (const auto& input : window) {
-    model.forward_traced(input, trace);
-    for (std::size_t t = 0; t < tk_neurons_.size(); ++t) {
-      const auto& p = tk_neurons_[t];
-      const double a = trace.at(p.id.layer).at(p.id.index);
-      ++total_obs;
-      const double span = p.train_max - p.train_min;
-      if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) {
-        ++oor;
-        continue;
-      }
-      std::size_t bucket = 0;
-      if (span > 1e-12) {
-        bucket = static_cast<std::size_t>((a - p.train_min) / span *
-                                          static_cast<double>(config_.buckets));
-        bucket = std::min(bucket, config_.buckets - 1);
-      }
-      hits.insert({t, bucket});
+void Analyzer::bucket_codes(const Mlp& model, const std::vector<double>& input,
+                            ActivationTrace& trace,
+                            std::span<std::size_t> codes) const {
+  model.hidden_activations(input, trace);
+  for (std::size_t t = 0; t < tk_neurons_.size(); ++t) {
+    const auto& p = tk_neurons_[t];
+    const double a = trace.at(p.id.layer).at(p.id.index);
+    if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) {
+      codes[t] = out_of_range_code();
+      continue;
     }
+    const double span = p.train_max - p.train_min;
+    std::size_t bucket = 0;
+    if (span > 1e-12) {
+      bucket = static_cast<std::size_t>((a - p.train_min) / span *
+                                        static_cast<double>(config_.buckets));
+      bucket = std::min(bucket, config_.buckets - 1);
+    }
+    codes[t] = bucket;
   }
+}
 
+CoverageReport Analyzer::report(std::size_t hit_cells, std::size_t oor,
+                                std::size_t total_obs,
+                                std::size_t window_size) const {
   CoverageReport r;
   const double total_buckets =
       static_cast<double>(tk_neurons_.size() * config_.buckets);
   r.coverage = total_buckets > 0.0
-                   ? static_cast<double>(hits.size()) / total_buckets
+                   ? static_cast<double>(hit_cells) / total_buckets
                    : 0.0;
   r.out_of_range =
       total_obs > 0 ? static_cast<double>(oor) / static_cast<double>(total_obs)
@@ -143,15 +135,42 @@ CoverageReport Analyzer::assess(
   // validated range. The window can only populate min(|window|, buckets)
   // buckets per neuron, so normalize coverage by the attainable maximum.
   const double attainable =
-      std::min<double>(static_cast<double>(window.size()),
+      std::min<double>(static_cast<double>(window_size),
                        static_cast<double>(config_.buckets)) /
       static_cast<double>(config_.buckets);
   const double effective_cov =
       attainable > 0.0 ? std::min(1.0, r.coverage / attainable) : 0.0;
   r.uncertainty = std::clamp(1.0 - effective_cov * (1.0 - r.out_of_range),
                              0.0, 1.0);
-  r.window_size = window.size();
+  r.window_size = window_size;
   return r;
+}
+
+CoverageReport Analyzer::assess(
+    const Mlp& model, const std::vector<std::vector<double>>& window) const {
+  if (window.empty()) {
+    throw std::invalid_argument("Analyzer::assess: empty window");
+  }
+  // Hit flags per (tk_index, bucket) cell; out-of-range activations are
+  // counted apart.
+  const std::size_t tk = tk_neurons_.size();
+  std::vector<bool> hit(tk * config_.buckets, false);
+  std::vector<std::size_t> codes(tk);
+  std::size_t hit_cells = 0;
+  std::size_t oor = 0;
+  ActivationTrace trace;
+  for (const auto& input : window) {
+    bucket_codes(model, input, trace, codes);
+    for (std::size_t t = 0; t < tk; ++t) {
+      if (codes[t] == out_of_range_code()) {
+        ++oor;
+      } else if (!hit[t * config_.buckets + codes[t]]) {
+        hit[t * config_.buckets + codes[t]] = true;
+        ++hit_cells;
+      }
+    }
+  }
+  return report(hit_cells, oor, window.size() * tk, window.size());
 }
 
 }  // namespace sesame::deepknowledge

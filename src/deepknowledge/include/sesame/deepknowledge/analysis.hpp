@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sesame/deepknowledge/mlp.hpp"
@@ -88,6 +89,25 @@ class Analyzer {
   /// Evaluates coverage of a runtime input window.
   CoverageReport assess(const Mlp& model,
                         const std::vector<std::vector<double>>& window) const;
+
+  /// Code bucket_codes() gives an activation outside its neuron's training
+  /// range; in-range codes are bucket indices in [0, buckets).
+  std::size_t out_of_range_code() const noexcept { return config_.buckets; }
+
+  /// One forward pass of `input`: writes, per TK neuron t, the coverage
+  /// bucket its activation falls in, or out_of_range_code(), to codes[t].
+  /// `codes` must hold tk_neurons().size() entries; `trace` is scratch that
+  /// callers reuse across inputs. Throws std::invalid_argument on an input
+  /// size mismatch, leaving `codes` untouched.
+  void bucket_codes(const Mlp& model, const std::vector<double>& input,
+                    ActivationTrace& trace, std::span<std::size_t> codes) const;
+
+  /// The coverage verdict of a window of `window_size` inputs in which
+  /// `hit_cells` distinct (TK neuron, bucket) cells were hit and `oor` of
+  /// the `total_obs` TK activations were out of range. assess() and the
+  /// streaming EDDI window both report through this one formula.
+  CoverageReport report(std::size_t hit_cells, std::size_t oor,
+                        std::size_t total_obs, std::size_t window_size) const;
 
  private:
   AnalysisConfig config_;

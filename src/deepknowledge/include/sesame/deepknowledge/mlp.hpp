@@ -47,6 +47,12 @@ class Mlp {
   std::vector<double> forward_traced(const std::vector<double>& input,
                                      ActivationTrace& trace) const;
 
+  /// Hidden-layer activations only (the output layer is skipped), into
+  /// `trace`. Reuses the trace's buffers, so a warm trace makes the pass
+  /// allocation-free.
+  void hidden_activations(const std::vector<double>& input,
+                          ActivationTrace& trace) const;
+
   /// One SGD epoch over the dataset (shuffled); returns mean loss.
   /// `targets` entries must have output_size() components in [0, 1].
   double train_epoch(const std::vector<std::vector<double>>& inputs,

@@ -11,6 +11,19 @@ namespace {
 
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+/// z = W x + b into `z` (resized in place). Accumulates each row left to
+/// right from 0.0 and adds the bias last, exactly as Matrix::apply followed
+/// by a bias pass.
+void affine(const mathx::Matrix& w, const std::vector<double>& b,
+            const std::vector<double>& x, std::vector<double>& z) {
+  z.resize(w.rows());
+  for (std::size_t i = 0; i < w.rows(); ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < w.cols(); ++j) acc += w(i, j) * x[j];
+    z[i] = acc + b[i];
+  }
+}
+
 }  // namespace
 
 Mlp::Mlp(const std::vector<std::size_t>& layer_sizes, mathx::Rng& rng)
@@ -48,26 +61,28 @@ std::vector<double> Mlp::forward(const std::vector<double>& input) const {
   return forward_traced(input, ignored);
 }
 
-std::vector<double> Mlp::forward_traced(const std::vector<double>& input,
-                                        ActivationTrace& trace) const {
+void Mlp::hidden_activations(const std::vector<double>& input,
+                             ActivationTrace& trace) const {
   if (input.size() != input_size()) {
     throw std::invalid_argument("Mlp::forward: input size mismatch");
   }
-  trace.clear();
-  std::vector<double> x = input;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    std::vector<double> z = weights_[l].apply(x);
-    for (std::size_t i = 0; i < z.size(); ++i) z[i] += biases_[l][i];
-    const bool is_output = (l + 1 == weights_.size());
-    if (is_output) {
-      for (double& v : z) v = sigmoid(v);
-    } else {
-      for (double& v : z) v = std::max(0.0, v);
-      trace.push_back(z);
-    }
-    x = std::move(z);
+  trace.resize(num_hidden_layers());
+  const std::vector<double>* x = &input;
+  for (std::size_t l = 0; l < trace.size(); ++l) {
+    affine(weights_[l], biases_[l], *x, trace[l]);
+    for (double& v : trace[l]) v = std::max(0.0, v);
+    x = &trace[l];
   }
-  return x;
+}
+
+std::vector<double> Mlp::forward_traced(const std::vector<double>& input,
+                                        ActivationTrace& trace) const {
+  hidden_activations(input, trace);
+  std::vector<double> out;
+  affine(weights_.back(), biases_.back(), trace.empty() ? input : trace.back(),
+         out);
+  for (double& v : out) v = sigmoid(v);
+  return out;
 }
 
 double Mlp::train_epoch(const std::vector<std::vector<double>>& inputs,

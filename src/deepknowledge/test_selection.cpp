@@ -1,37 +1,26 @@
 #include "sesame/deepknowledge/test_selection.hpp"
 
-#include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace sesame::deepknowledge {
 
 namespace {
 
-/// TK buckets hit by one input: set of (tk_index, bucket); out-of-range
-/// activations contribute nothing (they are anomalies, not coverage).
-std::set<std::pair<std::size_t, std::size_t>> buckets_of(
-    const Analyzer& analyzer, const Mlp& model,
-    const std::vector<double>& input) {
-  std::set<std::pair<std::size_t, std::size_t>> hit;
-  ActivationTrace trace;
-  model.forward_traced(input, trace);
-  const std::size_t buckets = analyzer.config().buckets;
-  const auto& tk = analyzer.tk_neurons();
-  for (std::size_t t = 0; t < tk.size(); ++t) {
-    const auto& p = tk[t];
-    const double a = trace.at(p.id.layer).at(p.id.index);
-    if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) continue;
-    const double span = p.train_max - p.train_min;
-    std::size_t bucket = 0;
-    if (span > 1e-12) {
-      bucket = static_cast<std::size_t>((a - p.train_min) / span *
-                                        static_cast<double>(buckets));
-      bucket = std::min(bucket, buckets - 1);
+/// TK-bucket cells hit by one input, as flat (tk_index * buckets + bucket)
+/// indices in TK order; out-of-range activations contribute nothing (they
+/// are anomalies, not coverage).
+std::vector<std::size_t> cells_of(const Analyzer& analyzer, const Mlp& model,
+                                  const std::vector<double>& input,
+                                  ActivationTrace& trace) {
+  std::vector<std::size_t> codes(analyzer.tk_neurons().size());
+  analyzer.bucket_codes(model, input, trace, codes);
+  std::vector<std::size_t> cells;
+  for (std::size_t t = 0; t < codes.size(); ++t) {
+    if (codes[t] != analyzer.out_of_range_code()) {
+      cells.push_back(t * analyzer.config().buckets + codes[t]);
     }
-    hit.insert({t, bucket});
   }
-  return hit;
+  return cells;
 }
 
 }  // namespace
@@ -42,16 +31,19 @@ std::vector<RankedInput> select_tests(
   if (pool.empty()) throw std::invalid_argument("select_tests: empty pool");
   if (budget == 0) throw std::invalid_argument("select_tests: zero budget");
 
-  // Precompute each candidate's bucket set.
-  std::vector<std::set<std::pair<std::size_t, std::size_t>>> candidate_buckets;
-  candidate_buckets.reserve(pool.size());
+  // Precompute each candidate's cells.
+  ActivationTrace trace;
+  std::vector<std::vector<std::size_t>> candidate_cells;
+  candidate_cells.reserve(pool.size());
   for (const auto& input : pool) {
-    candidate_buckets.push_back(buckets_of(analyzer, model, input));
+    candidate_cells.push_back(cells_of(analyzer, model, input, trace));
   }
 
-  const double total_buckets = static_cast<double>(
-      analyzer.tk_neurons().size() * analyzer.config().buckets);
-  std::set<std::pair<std::size_t, std::size_t>> covered;
+  const std::size_t total_cells =
+      analyzer.tk_neurons().size() * analyzer.config().buckets;
+  const double total_buckets = static_cast<double>(total_cells);
+  std::vector<bool> covered(total_cells, false);
+  std::size_t covered_count = 0;
   std::vector<bool> taken(pool.size(), false);
   std::vector<RankedInput> ranking;
 
@@ -61,8 +53,8 @@ std::vector<RankedInput> select_tests(
     for (std::size_t i = 0; i < pool.size(); ++i) {
       if (taken[i]) continue;
       std::size_t gain = 0;
-      for (const auto& b : candidate_buckets[i]) {
-        if (!covered.count(b)) ++gain;
+      for (const std::size_t c : candidate_cells[i]) {
+        if (!covered[c]) ++gain;
       }
       if (gain > best_gain) {
         best_gain = gain;
@@ -71,13 +63,17 @@ std::vector<RankedInput> select_tests(
     }
     if (best == pool.size() || best_gain == 0) break;  // nothing adds coverage
     taken[best] = true;
-    covered.insert(candidate_buckets[best].begin(),
-                   candidate_buckets[best].end());
+    for (const std::size_t c : candidate_cells[best]) {
+      if (!covered[c]) {
+        covered[c] = true;
+        ++covered_count;
+      }
+    }
     RankedInput r;
     r.pool_index = best;
     r.new_buckets = best_gain;
     r.cumulative_coverage =
-        total_buckets > 0.0 ? static_cast<double>(covered.size()) / total_buckets
+        total_buckets > 0.0 ? static_cast<double>(covered_count) / total_buckets
                             : 0.0;
     ranking.push_back(r);
   }
@@ -86,15 +82,7 @@ std::vector<RankedInput> select_tests(
 
 double suite_coverage(const Analyzer& analyzer, const Mlp& model,
                       const std::vector<std::vector<double>>& suite) {
-  if (suite.empty()) return 0.0;
-  std::set<std::pair<std::size_t, std::size_t>> covered;
-  for (const auto& input : suite) {
-    const auto hit = buckets_of(analyzer, model, input);
-    covered.insert(hit.begin(), hit.end());
-  }
-  const double total = static_cast<double>(analyzer.tk_neurons().size() *
-                                           analyzer.config().buckets);
-  return total > 0.0 ? static_cast<double>(covered.size()) / total : 0.0;
+  return suite.empty() ? 0.0 : analyzer.assess(model, suite).coverage;
 }
 
 }  // namespace sesame::deepknowledge

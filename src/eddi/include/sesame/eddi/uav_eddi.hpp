@@ -98,7 +98,10 @@ class UavEddi {
   const std::string& uav_name() const noexcept { return name_; }
   const UavEddiConfig& config() const noexcept { return config_; }
 
-  /// Ingests one tick of inputs and refreshes all models.
+  /// Ingests one tick of inputs and refreshes all models. SafeML and
+  /// DeepKnowledge are re-assessed only on ticks that pushed into their
+  /// window; otherwise their previous verdict is, bit for bit, what a
+  /// recompute over the unchanged window would return.
   const EddiAssessment& tick(const EddiInputs& inputs);
 
   /// Last assessment (valid after the first tick).
@@ -124,11 +127,28 @@ class UavEddi {
   std::shared_ptr<const deepknowledge::Mlp> dk_model_;
   std::shared_ptr<const deepknowledge::Analyzer> dk_analyzer_;
   std::shared_ptr<security::SecurityEddi> security_;
-  std::vector<std::vector<double>> dk_window_;
+  /// DeepKnowledge sliding window, kept as bucket codes so that a slide
+  /// costs one forward pass: a ring of `dk_window_size_` rows of one code
+  /// per TK neuron (`dk_oldest_` is the next row to evict), the hit count
+  /// of every (TK neuron, bucket) cell, and the two totals
+  /// Analyzer::report consumes.
   std::size_t dk_window_size_ = 32;
+  std::vector<std::size_t> dk_codes_;
+  std::size_t dk_oldest_ = 0;
+  std::size_t dk_buffered_ = 0;
+  std::vector<std::size_t> dk_cell_hits_;
+  std::size_t dk_hit_cells_ = 0;
+  std::size_t dk_out_of_range_ = 0;
+  std::vector<std::size_t> dk_entering_;  ///< codes of the entering input
+  deepknowledge::ActivationTrace dk_trace_;  ///< forward-pass scratch
   EddiAssessment assessment_;
-  EddiInputs last_inputs_;
+  /// The last tick's input flags that consert_evidence() passes through
+  /// (the feature vectors are consumed by tick() and not kept).
+  conserts::UavEvidence input_flags_;
   bool ticked_ = false;
+
+  /// Slides one detection-feature vector into the DeepKnowledge window.
+  void dk_push(const std::vector<double>& features);
 
   sinadra::PerceptionConfidence safeml_confidence_band() const;
   sinadra::PerceptionConfidence dk_confidence_band() const;

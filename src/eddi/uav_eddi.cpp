@@ -31,7 +31,44 @@ void UavEddi::attach_deepknowledge(
   dk_model_ = std::move(model);
   dk_analyzer_ = std::move(analyzer);
   dk_window_size_ = window;
-  dk_window_.clear();
+  const std::size_t tk = dk_analyzer_->tk_neurons().size();
+  dk_codes_.assign(window * tk, 0);
+  dk_oldest_ = 0;
+  dk_buffered_ = 0;
+  dk_cell_hits_.assign(tk * dk_analyzer_->config().buckets, 0);
+  dk_hit_cells_ = 0;
+  dk_out_of_range_ = 0;
+  dk_entering_.assign(tk, 0);
+}
+
+void UavEddi::dk_push(const std::vector<double>& features) {
+  // Codes first: a rejected input leaves the window untouched.
+  dk_analyzer_->bucket_codes(*dk_model_, features, dk_trace_, dk_entering_);
+  const std::size_t tk = dk_entering_.size();
+  const std::size_t buckets = dk_analyzer_->config().buckets;
+  const std::size_t oor_code = dk_analyzer_->out_of_range_code();
+  const bool evict = dk_buffered_ == dk_window_size_;
+  std::size_t* row = dk_codes_.data() + (evict ? dk_oldest_ : dk_buffered_) * tk;
+  for (std::size_t t = 0; t < tk; ++t) {
+    if (evict) {
+      if (row[t] == oor_code) {
+        --dk_out_of_range_;
+      } else if (--dk_cell_hits_[t * buckets + row[t]] == 0) {
+        --dk_hit_cells_;
+      }
+    }
+    row[t] = dk_entering_[t];
+    if (row[t] == oor_code) {
+      ++dk_out_of_range_;
+    } else if (dk_cell_hits_[t * buckets + row[t]]++ == 0) {
+      ++dk_hit_cells_;
+    }
+  }
+  if (evict) {
+    dk_oldest_ = (dk_oldest_ + 1) % dk_window_size_;
+  } else {
+    ++dk_buffered_;
+  }
 }
 
 void UavEddi::attach_security(std::shared_ptr<security::SecurityEddi> security) {
@@ -65,7 +102,10 @@ sinadra::PerceptionConfidence UavEddi::dk_confidence_band() const {
 }
 
 const EddiAssessment& UavEddi::tick(const EddiInputs& inputs) {
-  last_inputs_ = inputs;
+  input_flags_.gps_quality_good = inputs.gps_fix_available;
+  input_flags_.vision_sensor_healthy = inputs.vision_sensor_healthy;
+  input_flags_.comm_link_good = inputs.comm_link_good;
+  input_flags_.nearby_uav_available = inputs.nearby_uav_available;
 
   // SafeDrones reliability. Propulsion/processor/comms are prospective
   // risks over the configured horizon; the battery term is the *cumulative*
@@ -82,19 +122,15 @@ const EddiAssessment& UavEddi::tick(const EddiInputs& inputs) {
   // SafeML distribution-shift monitoring.
   if (!inputs.frame_features.empty()) {
     safeml_.push(inputs.frame_features);
+    assessment_.safeml = safeml_.assess();
   }
-  assessment_.safeml = safeml_.assess();
 
   // DeepKnowledge coverage over a sliding detection-feature window.
-  if (dk_analyzer_) {
-    for (const auto& f : inputs.detection_features) {
-      dk_window_.push_back(f);
-      if (dk_window_.size() > dk_window_size_) {
-        dk_window_.erase(dk_window_.begin());
-      }
-    }
-    if (dk_window_.size() >= dk_window_size_) {
-      assessment_.deepknowledge = dk_analyzer_->assess(*dk_model_, dk_window_);
+  if (dk_analyzer_ && !inputs.detection_features.empty()) {
+    for (const auto& f : inputs.detection_features) dk_push(f);
+    if (dk_buffered_ == dk_window_size_) {
+      assessment_.deepknowledge = dk_analyzer_->report(
+          dk_hit_cells_, dk_out_of_range_, dk_codes_.size(), dk_window_size_);
     }
   }
 
@@ -143,15 +179,11 @@ conserts::UavEvidence UavEddi::consert_evidence() const {
   if (!ticked_) {
     throw std::logic_error("UavEddi::consert_evidence: tick() never called");
   }
-  conserts::UavEvidence e;
-  e.gps_quality_good = last_inputs_.gps_fix_available;
+  conserts::UavEvidence e = input_flags_;
   e.no_security_attack = !attack_detected();
-  e.vision_sensor_healthy = last_inputs_.vision_sensor_healthy;
   e.safeml_confidence_high =
       assessment_.safeml.has_value() &&
       assessment_.safeml->level == safeml::ConfidenceLevel::kHigh;
-  e.comm_link_good = last_inputs_.comm_link_good;
-  e.nearby_uav_available = last_inputs_.nearby_uav_available;
   switch (assessment_.reliability.level) {
     case safedrones::ReliabilityLevel::kHigh: e.reliability_high = true; break;
     case safedrones::ReliabilityLevel::kMedium:

@@ -16,37 +16,51 @@ void require_samples(const std::vector<double>& a, const std::vector<double>& b,
 }
 
 /// Walks the merged samples (both already ascending-sorted), invoking
-/// cb(fa, fb, x, dx_to_next) at every step of the joint ECDF. `dx_to_next`
-/// is 0 at the final point.
+/// cb(fa, fb, x, dx_to_next) once per distinct value x of the pooled
+/// sample, in ascending order. `dx_to_next` is 0 at the final point.
+///
+/// Runtime monitors pass a large reference `a` and a short window `b`, so
+/// the merge is window-outer: for each window value y, a tight loop emits
+/// the reference steps below y (fb fixed), one step consumes every value
+/// equal to y in both samples, and a tail loop finishes the reference.
+/// Where a and b tie, x is taken from a, and `next` is the smaller head
+/// (a's on a tie), so the (fa, fb, x, dx) sequence is exactly that of a
+/// two-sided merge.
 template <typename Callback>
 void walk_sorted_ecdfs(const std::vector<double>& a, const std::vector<double>& b,
                        Callback&& cb) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
+  const std::size_t sa = a.size(), sb = b.size();
+  const double na = static_cast<double>(sa);
+  const double nb = static_cast<double>(sb);
   std::size_t ia = 0, ib = 0;
-  while (ia < a.size() || ib < b.size()) {
-    double x;
-    if (ib >= b.size() || (ia < a.size() && a[ia] <= b[ib])) {
-      x = a[ia];
-    } else {
-      x = b[ib];
+  while (ib < sb) {
+    const double y = b[ib];
+    const double fb_below = static_cast<double>(ib) / nb;
+    while (ia < sa && a[ia] < y) {
+      const double x = a[ia];
+      while (++ia < sa && a[ia] == x) {
+      }
+      const double next = ia < sa && a[ia] <= y ? a[ia] : y;
+      cb(static_cast<double>(ia) / na, fb_below, x, next - x);
     }
-    while (ia < a.size() && a[ia] == x) ++ia;
-    while (ib < b.size() && b[ib] == x) ++ib;
-    const double fa = static_cast<double>(ia) / na;
-    const double fb = static_cast<double>(ib) / nb;
-    double next = x;
-    bool have_next = false;
-    if (ia < a.size()) {
-      next = a[ia];
-      have_next = true;
+    const double x = ia < sa && a[ia] == y ? a[ia] : y;
+    while (ia < sa && a[ia] == y) ++ia;
+    while (++ib < sb && b[ib] == y) {
     }
-    if (ib < b.size()) {
-      next = have_next ? std::min(next, b[ib]) : b[ib];
-      have_next = true;
+    double dx = 0.0;
+    if (ia < sa && (ib >= sb || a[ia] <= b[ib])) {
+      dx = a[ia] - x;
+    } else if (ib < sb) {
+      dx = b[ib] - x;
     }
-    const double dx = have_next ? next - x : 0.0;
-    cb(fa, fb, x, dx);
+    cb(static_cast<double>(ia) / na, static_cast<double>(ib) / nb, x, dx);
+  }
+  const double fb_end = static_cast<double>(ib) / nb;
+  while (ia < sa) {
+    const double x = a[ia];
+    while (++ia < sa && a[ia] == x) {
+    }
+    cb(static_cast<double>(ia) / na, fb_end, x, ia < sa ? a[ia] - x : 0.0);
   }
 }
 

@@ -7,7 +7,6 @@
 // perception-based guarantees (e.g. "vision-based navigation < 1 m") hold.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,10 +48,15 @@ class Monitor {
   /// empty/invalid configuration.
   Monitor(MonitorConfig config, std::vector<std::vector<double>> reference);
 
-  std::size_t num_features() const noexcept { return reference_.size(); }
+  std::size_t num_features() const noexcept {
+    return reference_sorted_.size();
+  }
   const MonitorConfig& config() const noexcept { return config_; }
 
-  /// Pushes one runtime observation (one value per feature).
+  /// Pushes one runtime observation (one value per feature), evicting the
+  /// oldest once the window is full. Throws std::invalid_argument on a
+  /// feature-count mismatch or a non-finite value (the sorted window needs
+  /// a total order); the window is then left unchanged.
   void push(const std::vector<double>& features);
 
   /// Number of runtime observations currently buffered.
@@ -73,12 +77,18 @@ class Monitor {
 
  private:
   MonitorConfig config_;
-  std::vector<std::vector<double>> reference_;
-  /// Ascending-sorted copies of reference_, built once so every assessment
-  /// uses the distance_sorted() fast path instead of re-sorting the (large,
-  /// immutable) reference sample.
+  /// Ascending-sorted reference sample per feature, sorted once so every
+  /// assessment walks it without re-sorting.
   std::vector<std::vector<double>> reference_sorted_;
-  std::vector<std::deque<double>> window_;
+  /// Arrival-order ring of the last `window` observations (row = one
+  /// observation, one column per feature); `oldest_` is the next row to
+  /// evict once `buffered_` reaches the window.
+  std::vector<double> fifo_;
+  std::size_t oldest_ = 0;
+  std::size_t buffered_ = 0;
+  /// The same window per feature in ascending order, maintained by push()
+  /// so an assessment walks it directly. Capacity is reserved once.
+  std::vector<std::vector<double>> window_sorted_;
 
   ConfidenceLevel classify(double confidence) const;
 };

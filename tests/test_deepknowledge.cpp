@@ -1,7 +1,11 @@
 // Tests for DeepKnowledge: MLP forward/backward correctness, training
-// convergence on a separable problem, TK-neuron selection, and the
-// coverage/uncertainty behaviour under domain shift.
+// convergence on a separable problem, TK-neuron selection, the
+// coverage/uncertainty behaviour under domain shift, and the bucket-code
+// path checked against the original set-based assessment.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +30,60 @@ void make_dataset(mx::Rng& rng, std::size_t n, double shift,
     inputs.push_back({x0, x1});
     targets.push_back({x0 + x1 > 0.0 ? 1.0 : 0.0});
   }
+}
+
+/// Oracle: the original Analyzer::assess, kept verbatim as a reference. It
+/// collects the hit (TK neuron, bucket) cells of the whole window in a set.
+dk::CoverageReport oracle_assess(const dk::Analyzer& an, const dk::Mlp& model,
+                                 const std::vector<std::vector<double>>& window) {
+  const auto& tk_neurons = an.tk_neurons();
+  const std::size_t buckets = an.config().buckets;
+  std::set<std::pair<std::size_t, std::size_t>> hits;
+  std::size_t total_obs = 0;
+  std::size_t oor = 0;
+  dk::ActivationTrace trace;
+  for (const auto& input : window) {
+    model.forward_traced(input, trace);
+    for (std::size_t t = 0; t < tk_neurons.size(); ++t) {
+      const auto& p = tk_neurons[t];
+      const double a = trace.at(p.id.layer).at(p.id.index);
+      ++total_obs;
+      const double span = p.train_max - p.train_min;
+      if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) {
+        ++oor;
+        continue;
+      }
+      std::size_t bucket = 0;
+      if (span > 1e-12) {
+        bucket = static_cast<std::size_t>((a - p.train_min) / span *
+                                          static_cast<double>(buckets));
+        bucket = std::min(bucket, buckets - 1);
+      }
+      hits.insert({t, bucket});
+    }
+  }
+  dk::CoverageReport r;
+  const double total_buckets = static_cast<double>(tk_neurons.size() * buckets);
+  r.coverage = total_buckets > 0.0
+                   ? static_cast<double>(hits.size()) / total_buckets
+                   : 0.0;
+  r.out_of_range =
+      total_obs > 0 ? static_cast<double>(oor) / static_cast<double>(total_obs)
+                    : 0.0;
+  const double attainable =
+      std::min<double>(static_cast<double>(window.size()),
+                       static_cast<double>(buckets)) /
+      static_cast<double>(buckets);
+  const double effective_cov =
+      attainable > 0.0 ? std::min(1.0, r.coverage / attainable) : 0.0;
+  r.uncertainty = std::clamp(1.0 - effective_cov * (1.0 - r.out_of_range),
+                             0.0, 1.0);
+  r.window_size = window.size();
+  return r;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 }  // namespace
@@ -283,4 +341,75 @@ TEST(TestSelection, StopsWhenNothingAddsCoverage) {
   const auto ranking = dk::select_tests(an, net, pool, 10);
   EXPECT_EQ(ranking.size(), 1u);
   EXPECT_DOUBLE_EQ(dk::suite_coverage(an, net, {}), 0.0);
+}
+
+TEST(Mlp, HiddenActivationsMatchTheTracedForwardPass) {
+  mx::Rng rng(61);
+  dk::Mlp net({3, 6, 5, 1}, rng);
+  dk::ActivationTrace traced, reused;
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<double> x{rng.normal(), rng.normal(), rng.normal()};
+    net.forward_traced(x, traced);
+    net.hidden_activations(x, reused);  // warm after the first input
+    ASSERT_EQ(reused.size(), traced.size());
+    for (std::size_t l = 0; l < traced.size(); ++l) {
+      ASSERT_EQ(reused[l].size(), traced[l].size());
+      for (std::size_t n = 0; n < traced[l].size(); ++n) {
+        ASSERT_TRUE(same_bits(reused[l][n], traced[l][n]));
+      }
+    }
+  }
+  EXPECT_THROW(net.hidden_activations({1.0}, reused), std::invalid_argument);
+}
+
+TEST(Analyzer, AssessMatchesTheSetBasedOracleBitForBit) {
+  // Generated windows of 1..40 inputs, in-domain through far out of range,
+  // on a two-hidden-layer net so TK neurons come from both layers.
+  mx::Rng rng(67);
+  std::vector<std::vector<double>> train, targets, shifted, _t;
+  make_dataset(rng, 300, 0.0, train, targets);
+  make_dataset(rng, 300, 2.5, shifted, _t);
+  dk::Mlp net({2, 6, 5, 1}, rng);
+  for (int e = 0; e < 5; ++e) net.train_epoch(train, targets, 0.05, rng);
+  for (const std::size_t top_k : {1u, 4u, 11u}) {
+    dk::AnalysisConfig cfg;
+    cfg.top_k = top_k;
+    cfg.buckets = 7;
+    const dk::Analyzer an(net, train, shifted, cfg);
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<std::vector<double>> window, _w;
+      make_dataset(rng, 1 + rng.uniform_index(40), 0.15 * trial, window, _w);
+      const auto got = an.assess(net, window);
+      const auto want = oracle_assess(an, net, window);
+      ASSERT_TRUE(same_bits(got.coverage, want.coverage)) << trial;
+      ASSERT_TRUE(same_bits(got.out_of_range, want.out_of_range)) << trial;
+      ASSERT_TRUE(same_bits(got.uncertainty, want.uncertainty)) << trial;
+      ASSERT_EQ(got.window_size, want.window_size);
+    }
+  }
+}
+
+TEST(Analyzer, BucketCodesAreBucketsOrTheOutOfRangeCode) {
+  mx::Rng rng(71);
+  std::vector<std::vector<double>> train, targets, far, _t;
+  make_dataset(rng, 200, 0.0, train, targets);
+  make_dataset(rng, 50, 8.0, far, _t);
+  dk::Mlp net({2, 8, 1}, rng);
+  const dk::Analyzer an(net, train, train);
+  std::vector<std::size_t> codes(an.tk_neurons().size());
+  dk::ActivationTrace trace;
+  bool saw_oor = false;
+  for (const auto& x : far) {
+    an.bucket_codes(net, x, trace, codes);
+    for (const std::size_t c : codes) {
+      EXPECT_TRUE(c < an.config().buckets || c == an.out_of_range_code());
+      saw_oor = saw_oor || c == an.out_of_range_code();
+    }
+  }
+  EXPECT_TRUE(saw_oor);
+  // A rejected input leaves the codes untouched.
+  const auto before = codes;
+  EXPECT_THROW(an.bucket_codes(net, {1.0, 2.0, 3.0}, trace, codes),
+               std::invalid_argument);
+  EXPECT_EQ(codes, before);
 }

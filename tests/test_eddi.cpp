@@ -1,5 +1,7 @@
 // Tests for the EDDI layer: ODE JSON round-trips, UavEddi integration of
 // all monitors, uncertainty calibration, and ConSert evidence derivation.
+#include <cstring>
+#include <deque>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -45,6 +47,58 @@ eddi::UavEddiConfig small_window_config() {
   eddi::UavEddiConfig cfg;
   cfg.safeml.window = 16;
   return cfg;
+}
+
+/// A small DeepKnowledge model + analysis over 4-feature detection vectors.
+struct DkAssets {
+  std::shared_ptr<sesame::deepknowledge::Mlp> model;
+  std::shared_ptr<sesame::deepknowledge::Analyzer> analyzer;
+};
+
+std::vector<double> detection(mx::Rng& rng, double shift) {
+  return {rng.normal(1.0 + 2.0 * shift, 0.2), rng.normal(0.9 - 0.5 * shift, 0.05),
+          rng.normal(25.0 - 17.0 * shift, 3.0), rng.normal(0.8 - 0.4 * shift, 0.05)};
+}
+
+DkAssets make_dk_assets(mx::Rng& rng) {
+  DkAssets a;
+  a.model = std::make_shared<sesame::deepknowledge::Mlp>(
+      std::vector<std::size_t>{4, 8, 1}, rng);
+  std::vector<std::vector<double>> train, shifted;
+  for (int i = 0; i < 100; ++i) {
+    train.push_back(detection(rng, 0.0));
+    shifted.push_back(detection(rng, 1.0));
+  }
+  a.analyzer = std::make_shared<sesame::deepknowledge::Analyzer>(
+      *a.model, train, shifted);
+  return a;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Bitwise equality of every number a verdict carries.
+void expect_same_assessment(const eddi::EddiAssessment& a,
+                            const eddi::EddiAssessment& b) {
+  EXPECT_TRUE(same_bits(a.sar_uncertainty, b.sar_uncertainty));
+  EXPECT_EQ(a.uncertainty_exceeded, b.uncertainty_exceeded);
+  EXPECT_TRUE(same_bits(a.reliability.probability_of_failure,
+                        b.reliability.probability_of_failure));
+  EXPECT_TRUE(same_bits(a.risk.criticality, b.risk.criticality));
+  ASSERT_EQ(a.safeml.has_value(), b.safeml.has_value());
+  if (a.safeml) {
+    EXPECT_TRUE(same_bits(a.safeml->dissimilarity, b.safeml->dissimilarity));
+    EXPECT_TRUE(same_bits(a.safeml->confidence, b.safeml->confidence));
+  }
+  ASSERT_EQ(a.deepknowledge.has_value(), b.deepknowledge.has_value());
+  if (a.deepknowledge) {
+    EXPECT_TRUE(same_bits(a.deepknowledge->coverage, b.deepknowledge->coverage));
+    EXPECT_TRUE(same_bits(a.deepknowledge->out_of_range,
+                          b.deepknowledge->out_of_range));
+    EXPECT_TRUE(same_bits(a.deepknowledge->uncertainty,
+                          b.deepknowledge->uncertainty));
+  }
 }
 
 }  // namespace
@@ -339,4 +393,89 @@ TEST(Ode, DeeplyNestedStructuresParse) {
     v = std::move(inner);
   }
   EXPECT_DOUBLE_EQ(v.as_number(), 1.0);
+}
+
+TEST(UavEddi, StreamingDeepKnowledgeMatchesBatchAssessOnTheSlidWindow) {
+  // Ticks carry 0, 1, 2 or 3 detections, in-domain and shifted (so some
+  // activations fall out of range); after every tick the streamed verdict
+  // must equal Analyzer::assess over the same slid window, bit for bit.
+  mx::Rng rng(29);
+  const DkAssets dk = make_dk_assets(rng);
+  eddi::UavEddi e("u1", small_window_config(), make_reference(rng));
+  constexpr std::size_t kWindow = 8;
+  e.attach_deepknowledge(dk.model, dk.analyzer, kWindow);
+  std::deque<std::vector<double>> window;
+  bool saw_out_of_range = false;
+  const std::size_t counts[] = {0, 1, 2, 0, 3, 1, 0, 0, 2, 1};
+  for (int tick = 0; tick < 120; ++tick) {
+    auto in = nominal_inputs(rng);
+    const double shift = (tick / 30) % 2 == 0 ? 0.1 : 0.9;
+    for (std::size_t k = 0; k < counts[tick % 10]; ++k) {
+      in.detection_features.push_back(detection(rng, shift));
+      window.push_back(in.detection_features.back());
+      if (window.size() > kWindow) window.pop_front();
+    }
+    e.tick(in);
+    if (window.size() < kWindow) {
+      EXPECT_FALSE(e.assessment().deepknowledge.has_value()) << tick;
+      continue;
+    }
+    ASSERT_TRUE(e.assessment().deepknowledge.has_value()) << tick;
+    const auto want = dk.analyzer->assess(
+        *dk.model, {window.begin(), window.end()});
+    const auto& got = *e.assessment().deepknowledge;
+    ASSERT_TRUE(same_bits(got.coverage, want.coverage)) << tick;
+    ASSERT_TRUE(same_bits(got.out_of_range, want.out_of_range)) << tick;
+    ASSERT_TRUE(same_bits(got.uncertainty, want.uncertainty)) << tick;
+    ASSERT_EQ(got.window_size, want.window_size);
+    saw_out_of_range = saw_out_of_range || got.out_of_range > 0.0;
+  }
+  EXPECT_TRUE(saw_out_of_range);
+}
+
+TEST(UavEddi, CopiedMidStreamCarriesOnBitIdentically) {
+  // Replays (and the benchmark's EDDI replay) tick copies of a live EDDI:
+  // the copy must carry the SafeML and DeepKnowledge windows with it.
+  mx::Rng rng(31);
+  const DkAssets dk = make_dk_assets(rng);
+  eddi::UavEddi original("u1", small_window_config(), make_reference(rng));
+  original.attach_deepknowledge(dk.model, dk.analyzer, 8);
+  const auto make_inputs = [&](int tick) {
+    auto in = nominal_inputs(rng);
+    if (tick % 5 == 3) in.frame_features.clear();
+    for (int k = 0; k < tick % 3; ++k) {
+      in.detection_features.push_back(detection(rng, tick > 40 ? 0.8 : 0.1));
+    }
+    return in;
+  };
+  for (int tick = 0; tick < 23; ++tick) original.tick(make_inputs(tick));
+  eddi::UavEddi copy = original;
+  for (int tick = 23; tick < 80; ++tick) {
+    const auto in = make_inputs(tick);
+    original.tick(in);
+    copy.tick(in);
+    expect_same_assessment(original.assessment(), copy.assessment());
+  }
+}
+
+TEST(UavEddi, MonitorsKeepTheirVerdictOnTicksWithoutNewData) {
+  mx::Rng rng(37);
+  const DkAssets dk = make_dk_assets(rng);
+  eddi::UavEddi e("u1", small_window_config(), make_reference(rng));
+  e.attach_deepknowledge(dk.model, dk.analyzer, 4);
+  for (int tick = 0; tick < 20; ++tick) {
+    auto in = nominal_inputs(rng);
+    in.detection_features = {detection(rng, 0.2)};
+    e.tick(in);
+  }
+  const auto before = e.assessment();
+  ASSERT_TRUE(before.safeml.has_value());
+  ASSERT_TRUE(before.deepknowledge.has_value());
+  auto idle = nominal_inputs(rng);
+  idle.frame_features.clear();
+  e.tick(idle);
+  EXPECT_TRUE(same_bits(e.assessment().safeml->dissimilarity,
+                        before.safeml->dissimilarity));
+  EXPECT_TRUE(same_bits(e.assessment().deepknowledge->uncertainty,
+                        before.deepknowledge->uncertainty));
 }

@@ -1,8 +1,12 @@
 // Tests for SafeML: distance measures against hand-computed values and
-// statistical properties, permutation testing, and the sliding-window
-// monitor's confidence mapping.
+// statistical properties, permutation testing, the sliding-window
+// monitor's confidence mapping, and generated equivalence checks of the
+// incremental sorted window and ECDF walk against a copy+sort oracle.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,127 @@ std::vector<double> normal_sample(mx::Rng& rng, std::size_t n, double mean,
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(rng.normal(mean, sd));
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the monitor's original evaluation path, kept verbatim as a
+// reference. It copies the arrival-order window, sorts it, and walks the two
+// ECDFs with a two-sided merge (one comparison between the heads per step).
+// The incremental sorted window and the window-outer walk must reproduce its
+// results bit for bit.
+
+template <typename Callback>
+void oracle_walk(const std::vector<double>& a, const std::vector<double>& b,
+                 Callback&& cb) {
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  std::size_t ia = 0, ib = 0;
+  while (ia < a.size() || ib < b.size()) {
+    double x;
+    if (ib >= b.size() || (ia < a.size() && a[ia] <= b[ib])) {
+      x = a[ia];
+    } else {
+      x = b[ib];
+    }
+    while (ia < a.size() && a[ia] == x) ++ia;
+    while (ib < b.size() && b[ib] == x) ++ib;
+    const double fa = static_cast<double>(ia) / na;
+    const double fb = static_cast<double>(ib) / nb;
+    double next = x;
+    bool have_next = false;
+    if (ia < a.size()) {
+      next = a[ia];
+      have_next = true;
+    }
+    if (ib < b.size()) {
+      next = have_next ? std::min(next, b[ib]) : b[ib];
+      have_next = true;
+    }
+    const double dx = have_next ? next - x : 0.0;
+    cb(fa, fb, x, dx);
+  }
+}
+
+double oracle_distance_sorted(sml::Measure m, const std::vector<double>& a,
+                              const std::vector<double>& b) {
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  const double n = na + nb;
+  double acc = 0.0, acc2 = 0.0;
+  switch (m) {
+    case sml::Measure::kKolmogorovSmirnov:
+      oracle_walk(a, b, [&](double fa, double fb, double, double) {
+        acc = std::max(acc, std::abs(fa - fb));
+      });
+      return acc;
+    case sml::Measure::kKuiper:
+      oracle_walk(a, b, [&](double fa, double fb, double, double) {
+        acc = std::max(acc, fa - fb);
+        acc2 = std::max(acc2, fb - fa);
+      });
+      return acc + acc2;
+    case sml::Measure::kAndersonDarling:
+      oracle_walk(a, b, [&](double fa, double fb, double, double) {
+        const double h = (na * fa + nb * fb) / n;
+        const double w = h * (1.0 - h);
+        if (w > 1e-12) {
+          const double d = fa - fb;
+          acc += d * d / w;
+        }
+      });
+      return acc * (na * nb) / (n * n);
+    case sml::Measure::kCramerVonMises:
+      oracle_walk(a, b, [&](double fa, double fb, double, double) {
+        const double d = fa - fb;
+        acc += d * d;
+      });
+      return acc * (na * nb) / (n * n);
+    case sml::Measure::kWasserstein:
+      oracle_walk(a, b, [&](double fa, double fb, double, double dx) {
+        acc += std::abs(fa - fb) * dx;
+      });
+      return acc;
+    case sml::Measure::kDts:
+      oracle_walk(a, b, [&](double fa, double fb, double, double dx) {
+        const double h = (na * fa + nb * fb) / n;
+        const double w = h * (1.0 - h);
+        if (w > 1e-12) {
+          const double d = fa - fb;
+          acc += (d * d / w) * dx;
+        }
+      });
+      return acc;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Per-feature dissimilarity of an arrival-order window, by copy + sort.
+std::vector<double> oracle_per_feature(
+    sml::Measure m, const std::vector<std::vector<double>>& reference,
+    const std::vector<std::deque<double>>& window) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    std::vector<double> ref = reference[i];
+    std::sort(ref.begin(), ref.end());
+    std::vector<double> runtime(window[i].begin(), window[i].end());
+    std::sort(runtime.begin(), runtime.end());
+    out.push_back(oracle_distance_sorted(m, ref, runtime));
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A value that collides often: drawn from a small grid that includes both
+/// signed zeros and values shared with the reference, or (sometimes) a
+/// continuous draw.
+double tie_heavy_value(mx::Rng& rng) {
+  static const double kGrid[] = {-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0, 3.0};
+  if (rng.uniform() < 0.25) return rng.normal(0.5, 1.5);
+  return kGrid[rng.uniform_index(std::size(kGrid))];
 }
 
 }  // namespace
@@ -423,4 +548,143 @@ TEST(Distances, SortedVariantRejectsEmptySamples) {
   EXPECT_THROW(
       sml::distance_sorted(sml::Measure::kKolmogorovSmirnov, some, {}),
       std::invalid_argument);
+}
+
+TEST(Distances, WindowOuterWalkMatchesTwoSidedMergeBitForBit) {
+  // Generated sample pairs with repeated values, cross-sample ties, signed
+  // zeros, and either sample extending past the other at both ends.
+  mx::Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<double> a(1 + rng.uniform_index(200));
+    std::vector<double> b(1 + rng.uniform_index(130));
+    for (auto& v : a) v = tie_heavy_value(rng);
+    for (auto& v : b) v = tie_heavy_value(rng) * (trial % 3 == 0 ? 2.0 : 1.0);
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    for (const auto m : sml::all_measures()) {
+      const std::vector<double> got{sml::distance_sorted(m, a, b),
+                                    sml::distance_sorted(m, b, a)};
+      const std::vector<double> want{oracle_distance_sorted(m, a, b),
+                                     oracle_distance_sorted(m, b, a)};
+      ASSERT_TRUE(same_bits(got, want))
+          << sml::measure_name(m) << " trial " << trial;
+    }
+  }
+}
+
+TEST(Monitor, IncrementalWindowMatchesCopySortOracleBitForBit) {
+  // Seeded streams with repeated values, window/reference ties and signed
+  // zeros, for windows of 2..128: after every push, the maintained sorted
+  // window must give exactly the copy+sort verdict.
+  for (const std::size_t window : {2u, 3u, 7u, 16u, 64u, 128u}) {
+    for (const auto m : sml::all_measures()) {
+      mx::Rng rng(1000 + window);
+      std::vector<std::vector<double>> reference(2);
+      for (int i = 0; i < 150; ++i) {
+        reference[0].push_back(tie_heavy_value(rng));
+        reference[1].push_back(rng.normal(0.0, 1.0));
+      }
+      sml::MonitorConfig cfg;
+      cfg.measure = m;
+      cfg.window = window;
+      cfg.full_scale = 3.0;
+      sml::Monitor mon(cfg, reference);
+      std::vector<std::deque<double>> fifo(2);
+      for (std::size_t step = 0; step < 3 * window + 5; ++step) {
+        // Feature 1 sometimes repeats a reference value exactly.
+        const double f1 = rng.uniform() < 0.3
+                              ? reference[1][rng.uniform_index(150)]
+                              : rng.normal(0.2, 1.1);
+        const std::vector<double> obs{tie_heavy_value(rng), f1};
+        mon.push(obs);
+        for (std::size_t k = 0; k < 2; ++k) {
+          fifo[k].push_back(obs[k]);
+          if (fifo[k].size() > window) fifo[k].pop_front();
+        }
+        if (!mon.ready()) continue;
+        ASSERT_TRUE(same_bits(mon.per_feature_dissimilarity(),
+                              oracle_per_feature(m, reference, fifo)))
+            << sml::measure_name(m) << " window " << window << " step " << step;
+        const auto per_feature = oracle_per_feature(m, reference, fifo);
+        const double mean = (per_feature[0] + per_feature[1]) / 2.0;
+        ASSERT_TRUE(same_bits({mon.assess()->dissimilarity}, {mean}));
+      }
+    }
+  }
+}
+
+TEST(Monitor, TieBreakingInTheSortedWindowIsPinned) {
+  // The determinism hazard of a maintained sorted window: equal values
+  // (including -0.0 == 0.0) may sit in either order, and an eviction
+  // removes *an* equal element, not necessarily the one that arrived
+  // first. Neither may change a verdict. Two monitors that end up with the
+  // same window multiset through different arrival orders and evictions
+  // must agree bit for bit, and with the oracle.
+  const std::vector<std::vector<double>> reference{{-0.0, 0.0, 1.0, 1.0, 2.0}};
+  for (const auto m : sml::all_measures()) {
+    sml::MonitorConfig cfg;
+    cfg.measure = m;
+    cfg.window = 4;
+    sml::Monitor a(cfg, reference), b(cfg, reference);
+    // a: [0.0, 1.0, 1.0, -0.0] directly.
+    for (const double v : {0.0, 1.0, 1.0, -0.0}) a.push({v});
+    // b: evicts a 1.0 and a -0.0 while equal values stay in the window.
+    for (const double v : {1.0, -0.0, 1.0, 0.0, 1.0, -0.0}) b.push({v});
+    std::vector<std::deque<double>> fifo_b{{1.0, 0.0, 1.0, -0.0}};
+    ASSERT_TRUE(same_bits(a.per_feature_dissimilarity(),
+                          b.per_feature_dissimilarity()))
+        << sml::measure_name(m);
+    ASSERT_TRUE(same_bits(b.per_feature_dissimilarity(),
+                          oracle_per_feature(m, reference, fifo_b)))
+        << sml::measure_name(m);
+  }
+}
+
+TEST(Monitor, RejectsNonFiniteFeaturesAndKeepsTheWindow) {
+  mx::Rng rng(53);
+  sml::MonitorConfig cfg;
+  cfg.measure = sml::Measure::kWasserstein;  // moves with any window value
+  cfg.window = 8;
+  sml::Monitor mon(cfg, {normal_sample(rng, 100, 0.0, 1.0),
+                         normal_sample(rng, 100, 5.0, 1.0)});
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  // Before the window fills.
+  mon.push({0.1, 5.1});
+  for (const double v : bad) {
+    EXPECT_THROW(mon.push({v, 5.0}), std::invalid_argument);
+    EXPECT_THROW(mon.push({0.0, v}), std::invalid_argument);
+  }
+  EXPECT_EQ(mon.buffered(), 1u);
+  // Once full: a rejected push neither evicts nor inserts anything, in any
+  // feature (the first feature of {0.0, NaN} is not half-pushed).
+  for (int i = 0; i < 8; ++i) mon.push({rng.normal(0.0, 1.0), rng.normal(5.0, 1.0)});
+  const auto before = mon.per_feature_dissimilarity();
+  for (const double v : bad) {
+    EXPECT_THROW(mon.push({v, 5.0}), std::invalid_argument);
+    EXPECT_THROW(mon.push({0.0, v}), std::invalid_argument);
+  }
+  EXPECT_EQ(mon.buffered(), 8u);
+  EXPECT_TRUE(same_bits(before, mon.per_feature_dissimilarity()));
+  // And the window keeps sliding afterwards.
+  mon.push({50.0, -50.0});
+  EXPECT_FALSE(same_bits(before, mon.per_feature_dissimilarity()));
+}
+
+TEST(Monitor, ResetThenRefillMatchesAFreshMonitor) {
+  mx::Rng rng(59);
+  sml::MonitorConfig cfg;
+  cfg.window = 8;
+  const auto reference = normal_sample(rng, 100, 0.0, 1.0);
+  sml::Monitor used(cfg, {reference}), fresh(cfg, {reference});
+  for (int i = 0; i < 13; ++i) used.push({rng.normal(3.0, 1.0)});
+  used.reset();
+  for (int i = 0; i < 11; ++i) {
+    const double v = rng.normal(0.0, 1.0);
+    used.push({v});
+    fresh.push({v});
+  }
+  EXPECT_TRUE(same_bits(used.per_feature_dissimilarity(),
+                        fresh.per_feature_dissimilarity()));
 }

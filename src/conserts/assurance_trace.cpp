@@ -4,24 +4,12 @@
 
 namespace sesame::conserts {
 
-AssuranceTrace::AssuranceTrace(const ConSertNetwork& network,
-                               bool cache_evaluations)
-    : network_(&network), names_(network.names()) {
-  if (cache_evaluations) cache_.emplace(network);
-}
-
-std::size_t AssuranceTrace::cache_hits() const noexcept {
-  return cache_ ? cache_->hits() : 0;
-}
-
-std::size_t AssuranceTrace::cache_misses() const noexcept {
-  return cache_ ? cache_->misses() : 0;
-}
+AssuranceTrace::AssuranceTrace(const ConSertNetwork& network)
+    : names_(network.names()), cache_(network) {}
 
 NetworkEvaluation AssuranceTrace::evaluate(EvaluationContext& ctx,
                                            double time_s) {
-  const NetworkEvaluation eval =
-      cache_ ? cache_->evaluate(ctx) : network_->evaluate(ctx);
+  const NetworkEvaluation eval = cache_.evaluate(ctx);
   ++evaluations_;
   for (const auto& name : names_) {
     const auto it = eval.best.find(name);

@@ -7,7 +7,7 @@
 // produces the audit timeline a post-mission safety review replays.
 #pragma once
 
-#include <optional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,14 +27,12 @@ struct GuaranteeTransition {
 
 class AssuranceTrace {
  public:
-  /// The trace snapshots the network's membership (and, with
-  /// `cache_evaluations`, its per-ConSert input footprints): the network
-  /// must be fully built before construction and not mutated afterwards.
-  /// `cache_evaluations` routes evaluation through a CachedNetworkEvaluator
-  /// so unchanged evidence skips the condition-tree walks; results are
-  /// identical either way.
-  explicit AssuranceTrace(const ConSertNetwork& network,
-                          bool cache_evaluations = true);
+  /// The trace snapshots the network's membership and its per-ConSert
+  /// input footprints: the network must be fully built before construction
+  /// and not mutated afterwards. Evaluation runs through a
+  /// CachedNetworkEvaluator, so unchanged evidence skips the condition-tree
+  /// walks; results are identical to ConSertNetwork::evaluate.
+  explicit AssuranceTrace(const ConSertNetwork& network);
 
   /// Evaluates the network at `time_s` and records any best-guarantee
   /// transitions. Returns the evaluation.
@@ -53,16 +51,15 @@ class AssuranceTrace {
 
   std::size_t evaluations() const noexcept { return evaluations_; }
 
-  /// Evaluation-cache counters (both 0 when caching is disabled).
-  std::size_t cache_hits() const noexcept;
-  std::size_t cache_misses() const noexcept;
+  /// Evaluation-cache counters.
+  std::size_t cache_hits() const noexcept { return cache_.hits(); }
+  std::size_t cache_misses() const noexcept { return cache_.misses(); }
 
   void clear();
 
  private:
-  const ConSertNetwork* network_;
   std::vector<std::string> names_;  ///< network membership, snapshotted once
-  std::optional<CachedNetworkEvaluator> cache_;
+  CachedNetworkEvaluator cache_;
   std::map<std::string, std::string> current_;
   std::vector<GuaranteeTransition> transitions_;
   std::size_t evaluations_ = 0;

@@ -5,40 +5,40 @@
 
 namespace sesame::localization {
 
-CollaborativeLocalizer::CollaborativeLocalizer(sim::World& world,
-                                               std::string affected,
-                                               std::vector<std::string> assistants,
-                                               ObservationModel model)
-    : world_(&world), affected_(std::move(affected)),
-      assistants_(std::move(assistants)), model_(model) {
+CollaborativeLocalizer::CollaborativeLocalizer(
+    sim::World& world, const std::string& affected,
+    const std::vector<std::string>& assistants, ObservationModel model)
+    : world_(&world), affected_(0),
+      fix_topic_(sim::position_fix_topic(affected)), model_(model) {
   if (model_.detection_range_m <= 0.0 || model_.range_noise_frac < 0.0 ||
       model_.bearing_noise_deg < 0.0 || model_.detection_probability <= 0.0 ||
       model_.detection_probability > 1.0) {
     throw std::invalid_argument("CollaborativeLocalizer: bad observation model");
   }
-  if (assistants_.empty()) {
+  if (assistants.empty()) {
     throw std::invalid_argument("CollaborativeLocalizer: no assistants");
   }
-  world_->uav_by_name(affected_);  // throws early on unknown name
-  for (const auto& a : assistants_) {
-    if (a == affected_) {
+  // uav_by_name throws std::out_of_range on an unknown name.
+  affected_ = world_->uav_by_name(affected).fleet_index();
+  for (const auto& a : assistants) {
+    if (a == affected) {
       throw std::invalid_argument(
           "CollaborativeLocalizer: affected UAV cannot assist itself");
     }
-    world_->uav_by_name(a);
+    assistants_.push_back(world_->uav_by_name(a).fleet_index());
   }
 }
 
 std::optional<CollaborativeFix> CollaborativeLocalizer::update() {
   last_attempts_.clear();
-  const sim::Uav& target = world_->uav_by_name(affected_);
+  const sim::Uav& target = world_->uav(affected_);
   const geo::GeoPoint target_true = target.true_geo();
 
   std::vector<geo::RangeBearingObservation> observations;
-  for (const auto& name : assistants_) {
-    const sim::Uav& assistant = world_->uav_by_name(name);
+  for (const std::size_t i : assistants_) {
+    const sim::Uav& assistant = world_->uav(i);
     AssistantObservation attempt;
-    attempt.assistant = name;
+    attempt.assistant = i;
     // Observation geometry is physical: true positions drive visibility.
     const geo::GeoPoint assistant_true = assistant.true_geo();
     attempt.true_range_m = geo::slant_range_m(assistant_true, target_true);
@@ -87,7 +87,7 @@ std::optional<CollaborativeFix> CollaborativeLocalizer::update() {
   result.observations_used = observations.size();
   result.true_error_m = geo::haversine_m(result.fix.position, target_true);
 
-  world_->bus().publish(sim::position_fix_topic(affected_), result.fix.position,
+  world_->bus().publish(fix_topic_, result.fix.position,
                         "collaborative_localization", world_->time_s());
   ++fixes_published_;
   last_fix_ = result;
@@ -106,7 +106,7 @@ SafeLandingGuide::SafeLandingGuide(sim::World& world,
 }
 
 bool SafeLandingGuide::step() {
-  sim::Uav& uav = world_->uav_by_name(localizer_->affected());
+  sim::Uav& uav = world_->uav(localizer_->affected());
   if (uav.mode() == sim::FlightMode::kLanded) return false;
 
   localizer_->update();
@@ -134,12 +134,12 @@ bool SafeLandingGuide::step() {
 }
 
 bool SafeLandingGuide::landed() const {
-  return world_->uav_by_name(localizer_->affected()).mode() ==
+  return world_->uav(localizer_->affected()).mode() ==
          sim::FlightMode::kLanded;
 }
 
 double SafeLandingGuide::true_distance_to_target_m() const {
-  const sim::Uav& uav = world_->uav_by_name(localizer_->affected());
+  const sim::Uav& uav = world_->uav(localizer_->affected());
   return geo::enu_ground_distance_m(uav.true_position(), safe_point_);
 }
 

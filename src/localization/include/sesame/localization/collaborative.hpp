@@ -46,7 +46,7 @@ struct ObservationModel {
 
 /// One assistant's observation attempt (diagnostics).
 struct AssistantObservation {
-  std::string assistant;
+  std::size_t assistant = 0;  ///< fleet index of the observing UAV
   bool detected = false;
   double true_range_m = 0.0;
 };
@@ -62,12 +62,14 @@ struct CollaborativeFix {
 class CollaborativeLocalizer {
  public:
   /// `affected` must name a UAV in `world`; `assistants` are the observing
-  /// UAVs (the affected UAV itself is rejected).
-  CollaborativeLocalizer(sim::World& world, std::string affected,
-                         std::vector<std::string> assistants,
+  /// UAVs (the affected UAV itself is rejected). Names are resolved to
+  /// fleet indices here, once.
+  CollaborativeLocalizer(sim::World& world, const std::string& affected,
+                         const std::vector<std::string>& assistants,
                          ObservationModel model = {});
 
-  const std::string& affected() const noexcept { return affected_; }
+  /// Fleet index of the affected UAV.
+  std::size_t affected() const noexcept { return affected_; }
 
   /// Performs one observation round: each assistant within range attempts
   /// a detection; successful observations are fused and the fix published
@@ -89,8 +91,9 @@ class CollaborativeLocalizer {
 
  private:
   sim::World* world_;
-  std::string affected_;
-  std::vector<std::string> assistants_;
+  std::size_t affected_;
+  std::vector<std::size_t> assistants_;
+  std::string fix_topic_;  ///< the affected UAV's position-fix topic
   ObservationModel model_;
   std::vector<AssistantObservation> last_attempts_;
   std::optional<CollaborativeFix> last_fix_;

@@ -15,7 +15,6 @@ eddi::ode::Value config_to_json(const RunnerConfig& config) {
   doc["dt_s"] = config.dt_s;
   doc["max_time_s"] = config.max_time_s;
   doc["consert_period_s"] = config.consert_period_s;
-  doc["consert_eval_cache"] = config.consert_eval_cache;
   doc["battery_swap_time_s"] = config.battery_swap_time_s;
   doc["baseline_rtb_soc"] = config.baseline_rtb_soc;
   doc["n_uavs"] = config.n_uavs;
@@ -155,11 +154,6 @@ RunnerConfig config_from_json(const eddi::ode::Value& doc) {
       config.max_time_s = number(value, "max_time_s");
     } else if (key == "consert_period_s") {
       config.consert_period_s = number(value, "consert_period_s");
-    } else if (key == "consert_eval_cache") {
-      if (!value.is_bool()) {
-        throw std::invalid_argument("config_from_json: consert_eval_cache bool");
-      }
-      config.consert_eval_cache = value.as_bool();
     } else if (key == "battery_swap_time_s") {
       config.battery_swap_time_s = number(value, "battery_swap_time_s");
     } else if (key == "baseline_rtb_soc") {

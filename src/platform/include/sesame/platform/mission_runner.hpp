@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,11 +67,6 @@ struct RunnerConfig {
   double max_time_s = 1500.0;
   /// ConSert evaluation period (paper: runtime evaluation, not per-frame).
   double consert_period_s = 5.0;
-  /// Route ConSert evaluation through the dirty-flag evaluation cache
-  /// (conserts::CachedNetworkEvaluator). Results are identical with the
-  /// cache on or off; the switch exists for A/B verification and as an
-  /// escape hatch.
-  bool consert_eval_cache = true;
   /// Baseline battery-swap turnaround on the ground.
   double battery_swap_time_s = 60.0;
   /// Baseline returns to base when state of charge falls below this.
@@ -218,7 +212,7 @@ class MissionRunner {
   /// The named UAV's EDDI (SESAME runs only; throws std::out_of_range
   /// otherwise) — diagnostics access to per-monitor assessments.
   const eddi::UavEddi& uav_eddi(const std::string& name) const {
-    return *eddis_.at(uav_ix(name));
+    return *eddis_.at(world_->uav_by_name(name).fleet_index());
   }
 
   /// Age of the named UAV's last *received* telemetry (mission clock
@@ -235,9 +229,10 @@ class MissionRunner {
   RunnerConfig config_;
   std::unique_ptr<sim::World> world_;
   // Vehicle names in add order; per-vehicle runner state below is held in
-  // vectors parallel to names_ (index == World fleet index), so the
-  // per-tick loops are linear sweeps instead of string-map lookups at
-  // fleet scale. Name-keyed entry points resolve through uav_ix().
+  // vectors parallel to names_ (index == World fleet index), and every
+  // internal reference to a vehicle is that index. Names are used only
+  // for labels, the report, and the name-keyed ConSert model and
+  // UavManager.
   std::vector<std::string> names_;
   std::vector<geo::EnuPoint> home_enu_;
   std::vector<sar::SweepPlan> plans_;  // parallel to names_
@@ -263,10 +258,14 @@ class MissionRunner {
   int over_threshold_streak_ = 0;
   bool descended_ = false;
 
+  // Scenario event targets, resolved from their names at construction.
+  std::size_t battery_fault_ix_ = 0;
+  std::size_t spoof_ix_ = 0;
+
   // Spoofing-scenario state. Attack attribution is per-UAV: an IDS alert
   // on a vehicle's fix topic marks only that vehicle compromised, so the
   // rest of the fleet keeps its GPS-based navigation guarantees.
-  std::set<std::string> compromised_;
+  std::vector<std::uint8_t> compromised_;
   mw::Subscription alert_subscription_;
   double spoof_offset_m_ = 0.0;
   bool spoof_response_started_ = false;
@@ -296,23 +295,26 @@ class MissionRunner {
   std::size_t recovery_redistributed_ = 0;
   double first_replan_time_s_ = -1.0;
 
-  void inject_spoofed_fix(RunnerResult& result);
-  void start_spoof_response(const std::string& victim, RunnerResult& result);
+  void inject_spoofed_fix();
+  void start_spoof_response(RunnerResult& result);
 
   void setup_world();
   void setup_sesame();
   void setup_recovery();
   void update_watchdog();
-  /// Fleet index of a scenario vehicle (== its position in names_).
-  std::size_t uav_ix(const std::string& name) const;
-  void set_comm_demoted(const std::string& name, bool demoted);
-  void set_comm_demoted_ix(std::size_t i, bool demoted);
-  double recovery_staleness_s(const std::string& name) const;
-  double failure_onset_s(const std::string& name) const;
-  void declare_lost(const std::string& name);
+  void set_comm_demoted(std::size_t i, bool demoted);
+  double staleness_s(std::size_t i) const;
+  double recovery_staleness_s(std::size_t i) const;
+  double failure_onset_s(std::size_t i) const;
+  /// The mission vehicle that absorbs `failed`'s tasks: the least-loaded
+  /// airborne, mission-active, not-lost UAV that is neither returning nor
+  /// emergency-landing (first in roster order on a tie). nullopt if none.
+  std::optional<std::size_t> pick_takeover(std::size_t failed) const;
+  void note_replan(std::size_t from, std::size_t to);
+  void declare_lost(std::size_t i);
   std::vector<std::vector<double>> collect_safeml_reference();
-  eddi::EddiInputs gather_inputs(const std::string& name);
-  void baseline_policy(const std::string& name, RunnerResult& result);
+  eddi::EddiInputs gather_inputs(std::size_t i);
+  void baseline_policy(std::size_t i);
 };
 
 }  // namespace sesame::platform

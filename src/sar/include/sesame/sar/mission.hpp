@@ -4,9 +4,8 @@
 // redistribute task among remaining capable UAVs", paper Fig. 1).
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sesame/perception/detector.hpp"
@@ -35,9 +34,10 @@ struct DetectionStats {
 class SarMission {
  public:
   /// Assigns one sweep plan per UAV (sizes must match; UAVs are world
-  /// names). Waypoints are pushed to the vehicles; takeoff must be
-  /// commanded by the caller (the platform layer owns mode decisions).
-  SarMission(sim::World& world, std::vector<std::string> uav_names,
+  /// fleet indices, as everywhere below). Waypoints are pushed to the
+  /// vehicles; takeoff must be commanded by the caller (the platform layer
+  /// owns mode decisions).
+  SarMission(sim::World& world, std::vector<std::size_t> uavs,
              std::vector<SweepPlan> plans, perception::DetectorConfig detector = {});
 
   /// Runs one detection tick: every airborne mission UAV images the ground
@@ -46,9 +46,6 @@ class SarMission {
   void tick();
 
   const DetectionStats& stats() const noexcept { return stats_; }
-
-  /// Remaining waypoints of one UAV.
-  std::size_t remaining_waypoints(const std::string& uav) const;
 
   /// Total remaining waypoints across the fleet.
   std::size_t total_remaining() const;
@@ -68,24 +65,26 @@ class SarMission {
   /// Removes `failed_uav` from the mission and appends its unfinished
   /// waypoints to `takeover_uav`'s queue (task redistribution). Returns
   /// the number of reassigned waypoints.
-  std::size_t redistribute(const std::string& failed_uav,
-                           const std::string& takeover_uav);
+  std::size_t redistribute(std::size_t failed_uav, std::size_t takeover_uav);
 
   /// Removes a vehicle from the mission *without* reassigning its tasks
   /// (no surviving vehicle could absorb them); its remaining waypoints are
   /// abandoned. Returns the number of waypoints stranded. Throws
   /// std::invalid_argument on a vehicle that is not mission-active.
-  std::size_t retire(const std::string& uav);
+  std::size_t retire(std::size_t uav);
+
+  /// True while `uav` carries mission tasks.
+  bool is_active(std::size_t uav) const;
 
   /// UAVs currently carrying mission tasks.
-  const std::vector<std::string>& active_uavs() const noexcept {
+  const std::vector<std::size_t>& active_uavs() const noexcept {
     return active_uavs_;
   }
 
   /// UAVs whose camera produced at least one detection on the most recent
   /// tick() (the safety-invariant checker cross-references these against
   /// sensor health: a detection must never come from a blind sensor).
-  const std::vector<std::string>& last_tick_detectors() const noexcept {
+  const std::vector<std::size_t>& last_tick_detectors() const noexcept {
     return last_tick_detectors_;
   }
 
@@ -111,8 +110,8 @@ class SarMission {
 
  private:
   sim::World* world_;
-  std::vector<std::string> active_uavs_;
-  std::vector<std::string> last_tick_detectors_;
+  std::vector<std::size_t> active_uavs_;
+  std::vector<std::size_t> last_tick_detectors_;
   perception::PersonDetector detector_;
   perception::PersonTracker person_tracker_;
   DetectionStats stats_;

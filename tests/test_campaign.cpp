@@ -200,39 +200,6 @@ TEST(Report, WallClockFamiliesAreExcluded) {
   EXPECT_NE(json.find("sesame.mw.publish_total"), std::string::npos);
 }
 
-// The evaluation-cache contract, end to end: routing ConSert evaluation
-// through CachedNetworkEvaluator must not change a single byte of any
-// campaign artefact, even in the scenario that exercises every monitor
-// (spoofing under the lossy C2 radio).
-TEST(Campaign, EvaluationCacheDoesNotChangeResults) {
-  platform::RunnerConfig scenario =
-      campaign::ScenarioFactory::preset("spoofing_lossy").base();
-  scenario.max_time_s = 400.0;  // enough to cover the attack + response
-
-  platform::RunnerConfig uncached = scenario;
-  uncached.consert_eval_cache = false;
-  ASSERT_TRUE(scenario.consert_eval_cache);  // cache is the default
-
-  const campaign::ScenarioFactory with(scenario);
-  const campaign::ScenarioFactory without(uncached);
-  const auto r_cached = campaign::run_campaign(with, small_campaign(2, 1));
-  const auto r_plain = campaign::run_campaign(without, small_campaign(2, 1));
-
-  EXPECT_EQ(campaign::campaign_json(r_cached), campaign::campaign_json(r_plain));
-  std::ostringstream csv_c, csv_p, sum_c, sum_p;
-  campaign::write_runs_csv(r_cached, csv_c);
-  campaign::write_runs_csv(r_plain, csv_p);
-  campaign::write_summary_csv(r_cached, sum_c);
-  campaign::write_summary_csv(r_plain, sum_p);
-  EXPECT_EQ(csv_c.str(), csv_p.str());
-  EXPECT_EQ(sum_c.str(), sum_p.str());
-
-  // The comparison is not vacuous: the scenario detects the attack.
-  bool any_detected = false;
-  for (const auto& o : r_cached.outcomes) any_detected |= o.attack_detected;
-  EXPECT_TRUE(any_detected);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos campaigns (docs/ROBUSTNESS.md): every run draws a seed-derived
 // vehicle-failure schedule with the recovery subsystem active. The

@@ -854,6 +854,58 @@ TEST(MissionRunner, HardCrashEscalatesToLostAndReplansCoverage) {
   ASSERT_EQ(sink.named("sesame.recovery.replan").size(), 1u);
 }
 
+// A baseline vehicle that goes silent on the pad during a battery swap
+// must stay grounded once recovery has demoted it. Relaunching it when the
+// swap ends puts it on the mission just before recovery declares it lost
+// (lost_uav_serving).
+TEST(MissionRunner, BaselineSwapDoesNotRelaunchDemotedVehicle) {
+  pf::RunnerConfig cfg = small_scenario();
+  cfg.n_uavs = 3;
+  cfg.area = {0.0, 240.0, 0.0, 240.0};
+  cfg.sesame_enabled = false;
+  cfg.recovery_enabled = true;
+  cfg.battery_fault = pf::BatteryFaultEvent{"uav1", 60.0, 0.40, 70.0};
+
+  // Reference run without the blackout: when does the swap relaunch uav1?
+  double relaunch_s = -1.0;
+  {
+    const auto series = pf::MissionRunner(cfg).run().series.at("uav1");
+    for (std::size_t k = 1; k < series.size() && relaunch_s < 0.0; ++k) {
+      if (series[k - 1].mode == sim::FlightMode::kLanded &&
+          series[k].mode == sim::FlightMode::kTakeoff) {
+        relaunch_s = series[k].time_s;
+      }
+    }
+  }
+  ASSERT_GT(relaunch_s, 60.0);
+
+  // A permanent blackout starting mid-swap. Recovery demotes uav1 ~12 s in
+  // and commands RTH ~17 s in, both before the swap would end (the RTH is
+  // ignored: the vehicle is on the pad), and declares it lost ~37 s in,
+  // after the swap.
+  sim::FailureEvent blackout;
+  blackout.uav = "uav1";
+  blackout.mode = sim::FailureMode::kCommsBlackout;
+  blackout.time_s = relaunch_s - 22.0;
+  blackout.duration_s = 0.0;  // never ends
+  sim::FailureSchedule schedule;
+  schedule.events.push_back(blackout);
+  cfg.failure_schedule = schedule;
+
+  const auto result = pf::MissionRunner(cfg).run();
+  EXPECT_EQ(result.uavs_lost, std::vector<std::string>{"uav1"});
+  for (const auto& v : result.invariant_violations) {
+    ADD_FAILURE() << v.invariant << " " << v.uav << " at t=" << v.time_s
+                  << ": " << v.detail;
+  }
+  for (const auto& rec : result.series.at("uav1")) {
+    if (rec.time_s >= blackout.time_s && rec.mode != sim::FlightMode::kLanded) {
+      ADD_FAILURE() << "uav1 left the pad at t=" << rec.time_s;
+      break;
+    }
+  }
+}
+
 TEST(ConfigIo, RoundTripsRecoveryAndFailureScheduleFields) {
   pf::RunnerConfig cfg;
   cfg.recovery_enabled = true;

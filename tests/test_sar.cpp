@@ -106,7 +106,7 @@ TEST(Mission, ValidatesSetup) {
   world.add_uav(fast_uav("u1"), kOrigin);
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
-  EXPECT_THROW(sar::SarMission(world, {"u1"}, plans), std::invalid_argument);
+  EXPECT_THROW(sar::SarMission(world, {0}, plans), std::invalid_argument);
 }
 
 TEST(Mission, AssignsWaypointsToUavs) {
@@ -115,8 +115,8 @@ TEST(Mission, AssignsWaypointsToUavs) {
   world.add_uav(fast_uav("u2"), kOrigin);
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
-  sar::SarMission mission(world, {"u1", "u2"}, plans);
-  EXPECT_EQ(mission.remaining_waypoints("u1"), plans[0].waypoints.size());
+  sar::SarMission mission(world, {0, 1}, plans);
+  EXPECT_EQ(world.uav(0).waypoints_remaining(), plans[0].waypoints.size());
   EXPECT_EQ(mission.total_remaining(),
             plans[0].waypoints.size() + plans[1].waypoints.size());
   EXPECT_FALSE(mission.complete());
@@ -131,7 +131,7 @@ TEST(Mission, DetectsPersonsDuringSweep) {
   sar::CoverageConfig cfg;
   cfg.altitude_m = 25.0;
   auto plans = sar::plan_coverage({0.0, 60.0, 0.0, 160.0}, 1, cfg);
-  sar::SarMission mission(world, {"u1"}, plans);
+  sar::SarMission mission(world, {0}, plans);
   world.uav_by_name("u1").command_takeoff();
   for (int t = 0; t < 400 && !mission.complete(); ++t) {
     world.step(1.0);
@@ -154,14 +154,15 @@ TEST(Mission, RedistributeMovesRemainingWaypoints) {
   world.add_uav(fast_uav("u2"), kOrigin);
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
-  sar::SarMission mission(world, {"u1", "u2"}, plans);
-  const std::size_t before_u2 = mission.remaining_waypoints("u2");
-  const std::size_t from_u1 = mission.remaining_waypoints("u1");
-  const std::size_t moved = mission.redistribute("u1", "u2");
+  sar::SarMission mission(world, {0, 1}, plans);
+  const std::size_t before_u2 = world.uav(1).waypoints_remaining();
+  const std::size_t from_u1 = world.uav(0).waypoints_remaining();
+  const std::size_t moved = mission.redistribute(0, 1);
   EXPECT_EQ(moved, from_u1);
-  EXPECT_EQ(mission.remaining_waypoints("u2"), before_u2 + from_u1);
+  EXPECT_EQ(world.uav(1).waypoints_remaining(), before_u2 + from_u1);
   ASSERT_EQ(mission.active_uavs().size(), 1u);
-  EXPECT_EQ(mission.active_uavs()[0], "u2");
+  EXPECT_EQ(mission.active_uavs()[0], 1u);
+  EXPECT_FALSE(mission.is_active(0));
   // Total preserved.
   EXPECT_EQ(mission.total_remaining(), before_u2 + from_u1);
 }
@@ -172,10 +173,10 @@ TEST(Mission, RedistributeValidation) {
   world.add_uav(fast_uav("u2"), kOrigin);
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
-  sar::SarMission mission(world, {"u1", "u2"}, plans);
-  EXPECT_THROW(mission.redistribute("zz", "u2"), std::invalid_argument);
-  EXPECT_THROW(mission.redistribute("u1", "u1"), std::invalid_argument);
-  EXPECT_THROW(mission.redistribute("u1", "zz"), std::invalid_argument);
+  sar::SarMission mission(world, {0, 1}, plans);
+  EXPECT_THROW(mission.redistribute(7, 1), std::invalid_argument);
+  EXPECT_THROW(mission.redistribute(0, 0), std::invalid_argument);
+  EXPECT_THROW(mission.redistribute(0, 7), std::invalid_argument);
 }
 
 TEST(Mission, StatsDefaults) {
@@ -344,7 +345,7 @@ TEST(Mission, SweepCoversAreaWhenLaneSpacingMatchesFootprint) {
   cfg.lane_spacing_m = 30.0;
   const sar::Area area{0.0, 90.0, 0.0, 120.0};
   auto plans = sar::plan_coverage(area, 1, cfg);
-  sar::SarMission mission(world, {"u1"}, plans);
+  sar::SarMission mission(world, {0}, plans);
   mission.enable_coverage_tracking(area, 5.0);
   ASSERT_NE(mission.coverage(), nullptr);
   world.uav_by_name("u1").command_takeoff();
@@ -364,7 +365,7 @@ TEST(Mission, WideLaneSpacingLeavesGaps) {
   cfg.lane_spacing_m = 80.0;  // big gaps between lanes
   const sar::Area area{0.0, 160.0, 0.0, 120.0};
   auto plans = sar::plan_coverage(area, 1, cfg);
-  sar::SarMission mission(world, {"u1"}, plans);
+  sar::SarMission mission(world, {0}, plans);
   mission.enable_coverage_tracking(area, 5.0);
   world.uav_by_name("u1").command_takeoff();
   for (int t = 0; t < 400 && !mission.complete(); ++t) {
@@ -383,7 +384,7 @@ TEST(Mission, PersonTrackerConfirmsFoundPersons) {
   sar::CoverageConfig ccfg;
   ccfg.altitude_m = 20.0;
   auto plans = sar::plan_coverage({0.0, 40.0, 0.0, 80.0}, 1, ccfg);
-  sar::SarMission mission(world, {"u1"}, plans);
+  sar::SarMission mission(world, {0}, plans);
   world.uav_by_name("u1").command_takeoff();
   for (int t = 0; t < 300 && !mission.complete(); ++t) {
     world.step(1.0);
@@ -402,7 +403,7 @@ TEST(Mission, ProgressAndEta) {
   sar::CoverageConfig cfg;
   cfg.altitude_m = 25.0;
   auto plans = sar::plan_coverage({0.0, 60.0, 0.0, 160.0}, 1, cfg);
-  sar::SarMission mission(world, {"u1"}, plans);
+  sar::SarMission mission(world, {0}, plans);
   EXPECT_DOUBLE_EQ(mission.progress(), 0.0);
   const double eta0 = mission.eta_s(12.0);
   EXPECT_GT(eta0, 0.0);

@@ -1,6 +1,7 @@
 // Monte Carlo campaign runner: execute N seeded repetitions of a scenario
 // on a worker pool and aggregate the outcomes into mean/CI/quantile
-// summaries — the statistical backing for the paper's single-run figures.
+// summaries — the statistical backing for the paper's single-run figures,
+// and (with --runs 1 --metrics/--trace) the way to inspect one run.
 //
 // Usage:
 //   campaign_cli [--preset NAME] [--config FILE.json]
@@ -11,20 +12,30 @@
 //                [--fault-plan FILE] [--link-loss]
 //                [--chaos] [--fail-on-violation]
 //                [--json FILE] [--csv PREFIX] [--no-metrics]
+//                [--metrics FILE|-] [--trace FILE.jsonl]
 //
 // --preset picks a paper scenario (nominal | battery_fault | spoofing |
 //   spoofing_lossy | baseline | chaos | fleet_1024); later flags override
-//   it. --config
-//   loads a scenario_cli JSON file instead (mutually composable: preset,
-//   then config, then flags).
+//   it. --config loads a platform::config_io JSON scenario file instead
+//   (mutually composable: preset, then config, then flags).
+// --seed is the campaign seed: run i simulates with
+//   derive_run_seed(S, i), so even --runs 1 does not fly world seed S.
 // --jobs 0 uses one worker per hardware thread. Campaign results are
 //   bit-identical for any --jobs value (docs/CAMPAIGN.md: determinism).
+// --fault-plan applies a message-fault schedule to the bus (drop/delay/
+//   duplicate/reorder; format in docs/FAULT_INJECTION.md); --link-loss
+//   turns on the distance-dependent UAV<->GCS radio model.
 // --chaos gives every run a seed-derived random vehicle-failure schedule
 //   (motor loss, sensor dropout, battery fault, comms blackout, hard
 //   crash) with the recovery subsystem active (docs/ROBUSTNESS.md).
 // --fail-on-violation exits 3 when any run reports a safety-invariant
 //   violation (the chaos-stress CI gate).
 // --json / --csv write the campaign report (schema in docs/CAMPAIGN.md).
+// --metrics dumps the run-ordered merge of every run's metrics registry
+//   in Prometheus text format ("-" = stdout), wall-clock `_seconds`
+//   series included; --trace writes every run's span/event trace as JSON
+//   lines, run by run, each event tagged with its "run" index. See
+//   docs/OBSERVABILITY.md for both formats. Neither changes the report.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight runs finish, workers join,
 // and no report is written (exit 4) — a report on disk is always complete.
@@ -33,14 +44,17 @@
 //   campaign_cli --preset spoofing --runs 200 --jobs 0 --json camp.json
 //   campaign_cli --preset battery_fault --runs 100 --link-loss --csv out
 //   campaign_cli --chaos --runs 32 --jobs 0 --fail-on-violation
+//   campaign_cli --preset spoofing --runs 1 --metrics - --trace run.jsonl
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
 
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/report.hpp"
+#include "sesame/obs/sinks.hpp"
 #include "sesame/platform/config_io.hpp"
 #include "sesame/service/drain.hpp"
 
@@ -68,6 +82,8 @@ int main(int argc, char** argv) {
   campaign_config.seed = 1;
   std::string json_path;
   std::string csv_prefix;
+  std::string metrics_path;
+  std::string trace_path;
   bool chaos = false;
   bool fail_on_violation = false;
 
@@ -146,6 +162,10 @@ int main(int argc, char** argv) {
       csv_prefix = need_value("--csv");
     } else if (std::strcmp(argv[i], "--no-metrics") == 0) {
       campaign_config.collect_metrics = false;
+    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+      metrics_path = need_value("--metrics");
+    } else if (std::strcmp(argv[i], "--trace") == 0) {
+      trace_path = need_value("--trace");
     } else {
       std::fprintf(stderr, "unknown flag '%s' (see the file header)\n", argv[i]);
       return 2;
@@ -154,6 +174,20 @@ int main(int argc, char** argv) {
   if (campaign_config.runs == 0) {
     std::fprintf(stderr, "--runs must be positive\n");
     return 2;
+  }
+  if (!metrics_path.empty() && !campaign_config.collect_metrics) {
+    std::fprintf(stderr, "--metrics and --no-metrics are exclusive\n");
+    return 2;
+  }
+  std::unique_ptr<obs::JsonLinesSink> trace_sink;
+  if (!trace_path.empty()) {
+    try {
+      trace_sink = std::make_unique<obs::JsonLinesSink>(trace_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "--trace: %s\n", e.what());
+      return 2;
+    }
+    campaign_config.trace = trace_sink.get();
   }
 
   campaign::ScenarioFactory factory(scenario);
@@ -207,6 +241,27 @@ int main(int argc, char** argv) {
   if (!csv_prefix.empty()) {
     std::printf("wrote %s_runs.csv and %s_summary.csv\n", csv_prefix.c_str(),
                 csv_prefix.c_str());
+  }
+
+  if (!metrics_path.empty()) {
+    const std::string metrics = obs::render_prometheus(result.metrics);
+    if (metrics_path == "-") {
+      std::printf("\n# ---- metrics (Prometheus text format) ----\n%s",
+                  metrics.c_str());
+    } else {
+      std::FILE* f = std::fopen(metrics_path.c_str(), "w");
+      if (f == nullptr) {
+        std::fprintf(stderr, "cannot open %s\n", metrics_path.c_str());
+        return 1;
+      }
+      std::fputs(metrics.c_str(), f);
+      std::fclose(f);
+      std::printf("wrote %s\n", metrics_path.c_str());
+    }
+  }
+  if (trace_sink) {
+    std::printf("wrote %zu trace events to %s\n",
+                trace_sink->events_written(), trace_path.c_str());
   }
 
   std::size_t violations = 0;

@@ -262,7 +262,9 @@ int main(int argc, char** argv) {
             const auto bytes = conn.wire->take_outbound();
             conn.out.append(reinterpret_cast<const char*>(bytes.data()),
                             bytes.size());
-          } else {
+          } else if (!conn.closing) {
+            // One request per connection: once a response is owed, later
+            // bytes are read and dropped, never parsed a second time.
             if (auto req = conn.http.feed(buf, static_cast<std::size_t>(n))) {
               service::HttpResponse resp =
                   service::handle_request(svc, *req);
@@ -274,8 +276,9 @@ int main(int argc, char** argv) {
               conn.out = service::serialize_response(resp);
               conn.closing = true;
             } else if (conn.http.failed()) {
-              closed.push_back(conn.fd);
-              continue;
+              // Bad head or Content-Length: answer 400/413/431, then close.
+              conn.out = service::serialize_response(conn.http.error());
+              conn.closing = true;
             }
           }
         }

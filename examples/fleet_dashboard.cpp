@@ -149,7 +149,7 @@ int main() {
   }
   const auto& step_hist =
       o.metrics.histogram("sesame.sim.step_duration_seconds");
-  std::printf("\n runtime metrics (%zu series; full dump: scenario_cli"
+  std::printf("\n runtime metrics (%zu series; full dump: campaign_cli"
               " --metrics):\n", o.metrics.series_count());
   std::printf("   bus traffic  : %.0f publications on %zu topics, %.0f"
               " rejected\n", publishes, topics,

@@ -11,6 +11,7 @@
 #include "sesame/conserts/uav_network.hpp"
 #include "sesame/mathx/stats.hpp"
 #include "sesame/obs/observability.hpp"
+#include "sesame/obs/sinks.hpp"
 
 namespace sesame::campaign {
 
@@ -207,6 +208,10 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
   // the merged bits) depend on the run-to-worker schedule.
   std::vector<obs::MetricsSnapshot> snapshots(
       config.collect_metrics ? config.runs : 0);
+  // Per-run trace buffers, replayed into config.trace in index order after
+  // the join for the same reason.
+  std::vector<obs::MemorySink> traces(config.trace != nullptr ? config.runs
+                                                              : 0);
 
   const bool attack_scheduled = factory.base().spoofing.has_value();
   const double attack_time_s =
@@ -234,7 +239,10 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
         const std::uint64_t seed = derive_run_seed(config.seed, i);
         auto runner = factory.make_runner(config.seed, i);
         obs::Observability o;
-        if (config.collect_metrics) runner->attach_observability(o);
+        if (config.trace != nullptr) o.tracer.set_sink(&traces[i]);
+        if (config.collect_metrics || config.trace != nullptr) {
+          runner->attach_observability(o);
+        }
         const platform::RunnerResult run_result = runner->run();
         result.outcomes[i] =
             extract_outcome(i, seed, run_result, runner->world().bus(),
@@ -278,6 +286,18 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
       if (completed[i]) kept.push_back(std::move(result.outcomes[i]));
     }
     result.outcomes = std::move(kept);
+  }
+
+  if (config.trace != nullptr) {
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (!completed[i]) continue;
+      const std::string run = std::to_string(i);
+      for (obs::TraceEvent event : traces[i].events()) {
+        event.attributes.emplace_back("run", run);
+        config.trace->consume(event);
+      }
+      traces[i].clear();
+    }
   }
 
   if (config.collect_metrics) {

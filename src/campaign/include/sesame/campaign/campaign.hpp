@@ -29,6 +29,7 @@
 
 #include "sesame/campaign/scenario_factory.hpp"
 #include "sesame/obs/metrics.hpp"
+#include "sesame/obs/trace.hpp"
 
 namespace sesame::campaign {
 
@@ -58,6 +59,14 @@ struct CampaignConfig {
   /// completion order and still land on the report's exact merged bits.
   std::function<void(const RunOutcome&, const obs::MetricsSnapshot*)>
       on_run_complete;
+
+  /// Trace destination (campaign_cli --trace). When non-null, every run's
+  /// tracer records into its own in-memory buffer; after the pool joins,
+  /// the buffered events are handed to this sink in run-index order on the
+  /// calling thread (the sink needs no locking), each tagged with a "run"
+  /// attribute because span ids restart in every run. Tracing never moves
+  /// a report byte. Owned by the caller; must outlive run_campaign.
+  obs::TraceSink* trace = nullptr;
 };
 
 /// Scalar outcome of one campaign run (the per-run RunnerResult reduced to

@@ -1,10 +1,9 @@
 // Reusable scenario wiring for single runs and Monte Carlo campaigns.
 //
 // The scenario shapes the paper evaluates (nominal SAR sweep, Fig. 5
-// battery fault, Fig. 6/7 spoofing attack, degraded C2 links) used to be
-// inlined in scenario_cli and the examples; the factory makes them a
-// library concern so the campaign runner, the CLIs and the tests all build
-// runs from one place.
+// battery fault, Fig. 6/7 spoofing attack, degraded C2 links) are a
+// library concern so the campaign runner, campaign_cli, the service and
+// the tests all build runs from one place.
 //
 // Seed derivation (the campaign determinism contract): run i of a campaign
 // seeded S simulates with `derive_run_seed(S, i)` — a splitmix64 finalizer
@@ -35,7 +34,7 @@ class ScenarioFactory {
   /// run; everything else is shared by all runs).
   explicit ScenarioFactory(platform::RunnerConfig base);
 
-  /// The default scenario shape shared by scenario_cli/campaign_cli: a
+  /// The default scenario shape campaign_cli starts from: a
   /// 3-UAV fleet sweeping a 300 m x 300 m area at 20 m for 8 persons,
   /// 2000 s budget.
   static platform::RunnerConfig default_scenario();

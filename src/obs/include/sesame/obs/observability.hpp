@@ -1,6 +1,6 @@
 // The bundle instrumented components attach to: one metrics registry plus
 // one tracer. Constructed by the entry point that wants telemetry
-// (scenario_cli --metrics/--trace, fleet_dashboard, a test) and handed down
+// (each campaign run, fleet_dashboard, a test) and handed down
 // by pointer; components that never receive one skip all instrumentation.
 //
 //   obs::Observability o;

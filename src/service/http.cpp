@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
@@ -22,7 +23,9 @@ const char* status_text(int code) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 413: return "Content Too Large";
     case 429: return "Too Many Requests";
+    case 431: return "Request Header Fields Too Large";
     case 503: return "Service Unavailable";
     default: return "Internal Server Error";
   }
@@ -49,19 +52,6 @@ std::size_t parse_cursor(const std::string& query) {
     pos = amp + 1;
   }
   return 0;
-}
-
-Value status_to_json(const JobStatus& s) {
-  Value doc;
-  doc["job"] = s.id;
-  doc["tenant"] = s.tenant;
-  doc["state"] = job_state_name(s.state);
-  doc["runs_total"] = s.runs_total;
-  doc["runs_completed"] = s.runs_completed;
-  doc["cache_hit"] = s.cache_hit;
-  doc["digest"] = std::to_string(s.digest);
-  if (!s.error.empty()) doc["error"] = s.error;
-  return doc;
 }
 
 /// Splits "/api/v1/jobs/<id>[/suffix]"; returns false on a non-job path.
@@ -96,13 +86,18 @@ std::string serialize_response(const HttpResponse& response) {
   return out;
 }
 
+void HttpConnection::fail(int status, const std::string& message) {
+  failed_ = true;
+  error_ = error_response(status, message);
+}
+
 std::optional<HttpRequest> HttpConnection::feed(const char* data,
                                                 std::size_t n) {
   if (failed_) return std::nullopt;
   buffer_.append(data, n);
   const std::size_t head_end = buffer_.find("\r\n\r\n");
   if (head_end == std::string::npos) {
-    if (buffer_.size() > 64 * 1024) failed_ = true;  // runaway head
+    if (buffer_.size() > kMaxHeadBytes) fail(431, "request head too large");
     return std::nullopt;
   }
 
@@ -115,7 +110,7 @@ std::optional<HttpRequest> HttpConnection::feed(const char* data,
     const std::size_t sp2 =
         sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
     if (sp2 == std::string::npos) {
-      failed_ = true;
+      fail(400, "malformed request line");
       return std::nullopt;
     }
     req.method = line.substr(0, sp1);
@@ -144,10 +139,22 @@ std::optional<HttpRequest> HttpConnection::feed(const char* data,
     line_start = line_end + 2;
   }
 
+  // Digits only: no sign, no trailing junk, no wrap-around. Both checks
+  // run on the head alone, so a bad length never waits for body bytes.
   std::size_t content_length = 0;
   if (const auto it = req.headers.find("content-length");
       it != req.headers.end()) {
-    content_length = static_cast<std::size_t>(std::atoll(it->second.c_str()));
+    const std::string& v = it->second;
+    const auto [end, ec] =
+        std::from_chars(v.data(), v.data() + v.size(), content_length);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      fail(400, "bad Content-Length");
+      return std::nullopt;
+    }
+    if (content_length > kMaxBodyBytes) {
+      fail(413, "body over " + std::to_string(kMaxBodyBytes) + " bytes");
+      return std::nullopt;
+    }
   }
   const std::size_t body_start = head_end + 4;
   if (buffer_.size() - body_start < content_length) return std::nullopt;

@@ -47,16 +47,26 @@ std::string serialize_response(const HttpResponse& response);
 
 /// One connection's incremental request parser. feed() returns a complete
 /// request once the head + Content-Length body have arrived, nullopt while
-/// more bytes are needed. A malformed head sets failed() — close the
-/// connection. One request per connection (Connection: close semantics).
+/// more bytes are needed. A bad request sets failed() as soon as its head
+/// is complete; error() is then the response owed before closing: 400 for
+/// a malformed head or a Content-Length that is not a plain in-range
+/// decimal, 413 for a body over kMaxBodyBytes, 431 for a head over
+/// kMaxHeadBytes. One request per connection (Connection: close semantics).
 class HttpConnection {
  public:
+  static constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+  static constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
+
   std::optional<HttpRequest> feed(const char* data, std::size_t n);
   bool failed() const noexcept { return failed_; }
+  const HttpResponse& error() const noexcept { return error_; }
 
  private:
+  void fail(int status, const std::string& message);
+
   std::string buffer_;
   bool failed_ = false;
+  HttpResponse error_;
 };
 
 /// Routes one request onto the service. Never throws: errors become 4xx /

@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "sesame/eddi/ode.hpp"
 #include "sesame/obs/metrics.hpp"
 #include "sesame/service/submission.hpp"
 
@@ -58,9 +59,6 @@ struct ServiceLimits {
   std::size_t max_queued_per_tenant = 16;
   std::size_t max_runs_per_campaign = 4096;
   std::size_t cache_entries = 32;  ///< completed-report LRU size (0 = off)
-  /// Emit a "metrics" stream event every this many completed runs (and
-  /// always at completion). 0 disables interim metric streaming.
-  std::size_t metrics_stride = 8;
 };
 
 enum class JobState {
@@ -90,6 +88,10 @@ struct JobStatus {
   std::uint64_t digest = 0;
   std::string error;  ///< non-empty iff kFailed
 };
+
+/// The one JobStatus JSON shape: the HTTP status body, and the wire
+/// adapter's status reply once it adds "type":"status".
+eddi::ode::Value status_to_json(const JobStatus& s);
 
 class CampaignService {
  public:

@@ -17,6 +17,10 @@ using eddi::ode::Value;
 
 std::string event_line(Value doc) { return doc.to_json(); }
 
+/// A "metrics" stream event every this many completed runs (and always
+/// one at completion).
+constexpr std::size_t kMetricsStride = 8;
+
 }  // namespace
 
 const char* job_state_name(JobState s) noexcept {
@@ -28,6 +32,19 @@ const char* job_state_name(JobState s) noexcept {
     case JobState::kDrained: return "drained";
   }
   return "unknown";
+}
+
+Value status_to_json(const JobStatus& s) {
+  Value doc;
+  doc["job"] = s.id;
+  doc["tenant"] = s.tenant;
+  doc["state"] = job_state_name(s.state);
+  doc["runs_total"] = s.runs_total;
+  doc["runs_completed"] = s.runs_completed;
+  doc["cache_hit"] = s.cache_hit;
+  doc["digest"] = std::to_string(s.digest);
+  if (!s.error.empty()) doc["error"] = s.error;
+  return doc;
 }
 
 CampaignService::CampaignService(ServiceLimits limits) : limits_(limits) {
@@ -183,8 +200,7 @@ void CampaignService::run_job(std::unique_lock<std::mutex>& lock, Job& job) {
       ev["mission_complete"] = outcome.mission_complete;
       emit_locked(job, event_line(std::move(ev)));
     }
-    if (limits_.metrics_stride != 0 && snap != nullptr &&
-        job.runs_completed % limits_.metrics_stride == 0) {
+    if (snap != nullptr && job.runs_completed % kMetricsStride == 0) {
       Value ev;
       ev["event"] = "metrics";
       ev["job"] = job.id;

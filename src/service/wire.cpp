@@ -20,20 +20,6 @@ std::uint64_t require_job(const Value& doc) {
   return static_cast<std::uint64_t>(doc.at("job").as_number());
 }
 
-Value status_to_json(const JobStatus& s) {
-  Value doc;
-  doc["type"] = "status";
-  doc["job"] = s.id;
-  doc["tenant"] = s.tenant;
-  doc["state"] = job_state_name(s.state);
-  doc["runs_total"] = s.runs_total;
-  doc["runs_completed"] = s.runs_completed;
-  doc["cache_hit"] = s.cache_hit;
-  doc["digest"] = std::to_string(s.digest);
-  if (!s.error.empty()) doc["error"] = s.error;
-  return doc;
-}
-
 /// Re-extracts the submission fields from a wire request document ("type"
 /// stripped) so submission_from_json stays the single parser/validator.
 Submission submission_from_request(const Value& doc) {
@@ -85,6 +71,7 @@ void WireSession::handle(const std::string& text) {
       }
     } else if (type == "status") {
       reply = status_to_json(service_.status(require_job(doc)));
+      reply["type"] = "status";
     } else if (type == "poll") {
       const std::uint64_t id = require_job(doc);
       std::size_t cursor = 0;

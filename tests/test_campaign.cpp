@@ -2,10 +2,13 @@
 // presets, outcome extraction, summary statistics, report writers, and the
 // headline determinism contract — campaign results are bit-identical
 // regardless of how many worker threads executed them.
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -407,4 +410,94 @@ TEST(ScenarioFactory, ChaosPresetIsRegistered) {
   EXPECT_TRUE(preset.chaos_enabled());
   EXPECT_TRUE(preset.base().recovery_enabled);
   EXPECT_TRUE(preset.config_for_run(1, 0).failure_schedule.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Inspection surfaces (campaign_cli --trace / --metrics): per-run traces
+// replayed in run order, and a single run's merged metrics equal to the
+// same run driven directly.
+
+#include "sesame/obs/observability.hpp"
+#include "sesame/obs/sinks.hpp"
+
+namespace {
+
+/// Drops the wall-clock `_seconds` series (lines and family headers) from
+/// a Prometheus text dump.
+std::string without_wall_clock(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("_seconds") == std::string::npos) out += line + '\n';
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Campaign, TraceIsRunOrderedAndJobsInvariant) {
+  platform::RunnerConfig scenario = small_scenario();
+  scenario.sesame_enabled = true;
+  scenario.spoofing = platform::SpoofingEvent{"uav1", 60.0, 2.0};
+  const campaign::ScenarioFactory factory(scenario);
+  const auto traced = [&](std::size_t jobs, sesame::obs::MemorySink& sink) {
+    campaign::CampaignConfig config = small_campaign(4, jobs);
+    config.trace = &sink;
+    return campaign::run_campaign(factory, config);
+  };
+  sesame::obs::MemorySink sink1;
+  sesame::obs::MemorySink sink4;
+  const auto r1 = traced(1, sink1);
+  const auto r4 = traced(4, sink4);
+  const auto untraced = campaign::run_campaign(factory, small_campaign(4, 4));
+
+  // Tracing never moves a report byte.
+  EXPECT_EQ(campaign::campaign_json(r1), campaign::campaign_json(untraced));
+  EXPECT_EQ(campaign::campaign_json(r4), campaign::campaign_json(untraced));
+
+  // Every event carries its run index, and runs arrive in index order.
+  const auto& events = sink1.events();
+  std::vector<std::size_t> run_order;
+  for (const auto& e : events) {
+    const auto run = std::find_if(
+        e.attributes.begin(), e.attributes.end(),
+        [](const auto& kv) { return kv.first == "run"; });
+    ASSERT_NE(run, e.attributes.end()) << e.name;
+    const std::size_t index = std::stoul(run->second);
+    if (run_order.empty() || run_order.back() != index) {
+      run_order.push_back(index);
+    }
+  }
+  EXPECT_EQ(run_order, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  // The same sequence for any worker count, wall-clock fields aside.
+  ASSERT_EQ(sink4.events().size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& a = events[i];
+    const auto& b = sink4.events()[i];
+    ASSERT_EQ(a.kind, b.kind) << i;
+    ASSERT_EQ(a.name, b.name) << i;
+    ASSERT_EQ(a.span_id, b.span_id) << i;
+    ASSERT_EQ(a.parent_id, b.parent_id) << i;
+    ASSERT_EQ(a.attributes, b.attributes) << i;
+  }
+}
+
+TEST(Campaign, SingleRunMetricsMatchDirectRun) {
+  const auto factory = campaign::ScenarioFactory::preset("spoofing");
+  campaign::CampaignConfig config;
+  config.runs = 1;
+  config.seed = 7;
+  const auto result = campaign::run_campaign(factory, config);
+
+  sesame::obs::Observability o;
+  platform::MissionRunner runner(factory.config_for_run(7, 0));
+  runner.attach_observability(o);
+  runner.run();
+
+  const std::string campaign_text =
+      sesame::obs::render_prometheus(result.metrics);
+  ASSERT_NE(campaign_text.find("_seconds"), std::string::npos);
+  EXPECT_EQ(without_wall_clock(campaign_text),
+            without_wall_clock(o.metrics.render_prometheus()));
 }

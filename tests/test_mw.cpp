@@ -305,35 +305,6 @@ TEST(BusMetrics, DetachStopsCounting) {
       reg.counter("sesame.mw.publish_total", {{"topic", "t"}}).value(), 1.0);
 }
 
-#include "sesame/mw/node.hpp"
-
-TEST(NodeHandle, BakesSourceIntoPublications) {
-  mw::Bus bus;
-  mw::NodeHandle node(bus, "uav_7");
-  std::string seen_source;
-  auto sub = node.subscribe<int>(
-      "t", [&](const mw::MessageHeader& h, const int&) {
-        seen_source = h.source;
-      });
-  node.publish("t", 42, 1.5);
-  EXPECT_EQ(seen_source, "uav_7");
-  EXPECT_EQ(node.name(), "uav_7");
-  EXPECT_THROW(mw::NodeHandle(bus, ""), std::invalid_argument);
-}
-
-TEST(NodeHandle, WorksWithPublisherRestrictions) {
-  mw::Bus bus;
-  bus.restrict_publisher("cmd", "operator");
-  mw::NodeHandle operator_node(bus, "operator");
-  mw::NodeHandle rogue_node(bus, "rogue");
-  int delivered = 0;
-  auto sub = bus.subscribe<int>(
-      "cmd", [&](const mw::MessageHeader&, const int&) { ++delivered; });
-  operator_node.publish("cmd", 1, 0.0);
-  rogue_node.publish("cmd", 2, 0.1);
-  EXPECT_EQ(delivered, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Bus correctness regressions.
 

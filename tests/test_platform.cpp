@@ -396,56 +396,6 @@ TEST(MissionRunner, DeepKnowledgeReportPresentAfterWarmup) {
   EXPECT_GT(result.area_coverage, 0.9);
 }
 
-#include <sstream>
-
-#include "sesame/platform/report.hpp"
-
-TEST(Report, SeriesCsvWellFormed) {
-  pf::RunnerConfig cfg = small_scenario();
-  cfg.max_time_s = 120.0;
-  pf::MissionRunner runner(cfg);
-  const auto result = runner.run();
-  std::ostringstream out;
-  pf::write_series_csv(result, out);
-  const std::string csv = out.str();
-  // Header plus one row per UAV per tick.
-  std::size_t lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  std::size_t expected = 1;
-  for (const auto& [name, series] : result.series) {
-    (void)name;
-    expected += series.size();
-  }
-  EXPECT_EQ(lines, expected);
-  EXPECT_EQ(csv.rfind("uav,time_s,", 0), 0u);  // header first
-  EXPECT_NE(csv.find("uav1,"), std::string::npos);
-}
-
-TEST(Report, SummaryCsvListsFleet) {
-  pf::RunnerConfig cfg = small_scenario();
-  cfg.max_time_s = 60.0;
-  pf::MissionRunner runner(cfg);
-  const auto result = runner.run();
-  std::ostringstream out;
-  pf::write_summary_csv(result, out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("uav1,"), std::string::npos);
-  EXPECT_NE(csv.find("uav2,"), std::string::npos);
-  EXPECT_NE(csv.find("fleet,"), std::string::npos);
-}
-
-TEST(Report, ExportRejectsBadPath) {
-  pf::RunnerConfig cfg = small_scenario();
-  cfg.max_time_s = 30.0;
-  pf::MissionRunner runner(cfg);
-  const auto result = runner.run();
-  EXPECT_THROW(
-      pf::export_result(result, "/nonexistent_dir/x.csv", "/tmp/ok.csv"),
-      std::runtime_error);
-}
-
 TEST(MissionRunner, AssuranceTraceRecordsLifecycle) {
   pf::RunnerConfig cfg = small_scenario();
   cfg.sesame_enabled = true;

@@ -287,6 +287,50 @@ TEST(Http, IncrementalParserReassemblesSplitRequests) {
   service::HttpConnection bad;
   bad.feed("garbage\r\n\r\n", 11);
   EXPECT_TRUE(bad.failed());
+  EXPECT_EQ(bad.error().status, 400);
+}
+
+// A bad or oversized Content-Length is answered from the head alone: the
+// parser never waits for (or buffers) body bytes it will refuse.
+TEST(Http, BadOrOversizedContentLengthFailsAtTheHead) {
+  const auto head = [](const std::string& length) {
+    return "POST /api/v1/campaigns HTTP/1.1\r\nContent-Length: " + length +
+           "\r\n\r\n";
+  };
+  const struct {
+    const char* length;
+    int status;
+  } cases[] = {{"-1", 400},
+               {"12abc", 400},
+               {"", 400},
+               {"99999999999999999999", 400},  // 20 digits: past uint64
+               {"1048577", 413}};              // 1 MiB + 1
+  for (const auto& c : cases) {
+    service::HttpConnection conn;
+    const std::string raw = head(c.length);
+    EXPECT_FALSE(conn.feed(raw.data(), raw.size()).has_value()) << c.length;
+    ASSERT_TRUE(conn.failed()) << c.length;
+    EXPECT_EQ(conn.error().status, c.status) << c.length;
+    const std::string wire = service::serialize_response(conn.error());
+    EXPECT_EQ(wire.rfind("HTTP/1.1 " + std::to_string(c.status), 0), 0u);
+  }
+
+  // A head that never ends is cut off at its own cap.
+  service::HttpConnection endless;
+  const std::string junk(service::HttpConnection::kMaxHeadBytes + 1, 'h');
+  endless.feed(junk.data(), junk.size());
+  ASSERT_TRUE(endless.failed());
+  EXPECT_EQ(endless.error().status, 431);
+
+  // Exactly at the cap is a legal body: the parser waits for it.
+  service::HttpConnection at_cap;
+  const std::string raw = head("1048576");
+  EXPECT_FALSE(at_cap.feed(raw.data(), raw.size()).has_value());
+  EXPECT_FALSE(at_cap.failed());
+  const std::string body(service::HttpConnection::kMaxBodyBytes, 'x');
+  const auto req = at_cap.feed(body.data(), body.size());
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->body.size(), service::HttpConnection::kMaxBodyBytes);
 }
 
 TEST(Http, RoutesTheFullJobLifecycle) {

@@ -8,7 +8,10 @@
 #      campaign_cli --json for the same (preset, config, runs, seed);
 #   3. the same submission over the framed wire transport returns the
 #      same bytes (and hits the result cache);
-#   4. SIGTERM drains gracefully: in-flight work is spooled, the daemon
+#   4. hostile requests are answered, not dropped: a Content-Length of -1
+#      gets 400, a body over the 1 MiB cap gets 413, and the daemon keeps
+#      serving afterwards;
+#   5. SIGTERM drains gracefully: in-flight work is spooled, the daemon
 #      exits 0, and a restarted daemon replays the spool.
 #
 # Usage: tools/service_smoke.sh <build-dir>   (e.g. ./build)
@@ -68,7 +71,19 @@ curl -fsS "http://127.0.0.1:$HTTP_PORT/metrics" \
   | grep -q sesame_service_cache_hits_total || fail "cache metric missing"
 echo "ok: wire report byte-identical and cache hit recorded"
 
-# --- 4. graceful drain spools in-flight work --------------------------------
+# --- 4. bad Content-Length -> 400, oversized body -> 413, still serving -----
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Length: -1' \
+  "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns")
+[ "$CODE" = 400 ] || fail "Content-Length: -1 got $CODE, want 400"
+head -c 1048577 /dev/zero > "$WORK/big.bin"
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -H 'Expect: 100-continue' \
+  --data-binary @"$WORK/big.bin" "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns")
+[ "$CODE" = 413 ] || fail "1 MiB + 1 body got $CODE, want 413"
+curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
+  || fail "daemon stopped serving after hostile requests"
+echo "ok: hostile requests answered 400/413, daemon still serving"
+
+# --- 5. graceful drain spools in-flight work --------------------------------
 curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
   -d '{"preset": "nominal", "runs": 500, "seed": 99}' >/dev/null
 kill -TERM "$DAEMON_PID"

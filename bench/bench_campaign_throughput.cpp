@@ -59,10 +59,13 @@ void BM_CampaignSesame(benchmark::State& state) {
 
 }  // namespace
 
+// Real time: the campaign runs on worker threads, so the main thread's CPU
+// time is no measure of a campaign's duration (runs_per_s is a rate over
+// the timer the benchmark uses).
 BENCHMARK(BM_CampaignBaseline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_CampaignSesame)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
   return sesame::bench::run_main(argc, argv);

@@ -1,13 +1,20 @@
 // Exercises the paper's Fig. 1 hierarchical ConSert network: enumerates
 // the evidence space, prints the resulting action lattice and mission
 // decisions, and times the runtime evaluation (the cost that matters for
-// "shifting assurance to runtime" on constrained UAV hardware).
+// "shifting assurance to runtime" on constrained UAV hardware):
+// BM_SingleUavEvaluation and BM_FleetEvaluation time the string-keyed
+// ConSertNetwork::evaluate oracle, BM_ConsertTick3Uav the compiled
+// network a mission evaluates every ConSert period.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
+#include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "sesame/conserts/assurance_trace.hpp"
 #include "sesame/conserts/uav_network.hpp"
 
 namespace {
@@ -142,6 +149,38 @@ void BM_FleetEvaluation(benchmark::State& state) {
   state.SetComplexityN(static_cast<long>(n_uavs));
 }
 BENCHMARK(BM_FleetEvaluation)->Arg(1)->Arg(3)->Arg(10)->Arg(30)->Complexity();
+
+// One runtime ConSert tick of the 3-UAV mission through the production
+// path, as MissionRunner runs it: write each UAV's evidence by slot,
+// evaluate the compiled network through the assurance trace (recording
+// transitions), read each UAV's action by slot. The evidence is mostly
+// steady, as in flight, with one UAV degrading for 8 of every 64 ticks.
+void BM_ConsertTick3Uav(benchmark::State& state) {
+  ConSertNetwork net;
+  const std::vector<std::string> uavs{"uav1", "uav2", "uav3"};
+  for (const auto& u : uavs) add_uav_conserts(net, u);
+  AssuranceTrace trace(net);
+  std::vector<UavSlots> slots;
+  for (const auto& u : uavs) slots.push_back(uav_slots(trace.network(), u));
+  const std::vector<UavEvidence> evidence{evidence_from_mask(0x7f),
+                                          evidence_from_mask(0xbf)};
+  std::array<UavAction, 3> actions{};
+  std::size_t tick = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < uavs.size(); ++i) {
+      const bool degraded = i == tick / 64 % 3 && tick % 64 < 8;
+      write_evidence(trace.network(), slots[i], evidence[degraded ? 1 : 0]);
+    }
+    trace.evaluate(5.0 * static_cast<double>(tick));
+    for (std::size_t i = 0; i < uavs.size(); ++i) {
+      actions[i] = uav_action(trace.network(), slots[i]);
+    }
+    benchmark::DoNotOptimize(actions.data());
+    benchmark::ClobberMemory();
+    if (++tick % 65536 == 0) trace.clear();  // bound the recorded timeline
+  }
+}
+BENCHMARK(BM_ConsertTick3Uav);
 
 }  // namespace
 

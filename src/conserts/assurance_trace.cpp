@@ -1,26 +1,26 @@
 #include "sesame/conserts/assurance_trace.hpp"
 
-#include <stdexcept>
-
 namespace sesame::conserts {
 
 AssuranceTrace::AssuranceTrace(const ConSertNetwork& network)
-    : names_(network.names()), cache_(network) {}
+    : network_(network), current_(network_.consert_count(), CompiledNetwork::kNone) {}
 
-NetworkEvaluation AssuranceTrace::evaluate(EvaluationContext& ctx,
-                                           double time_s) {
-  const NetworkEvaluation eval = cache_.evaluate(ctx);
+std::string AssuranceTrace::label(std::size_t guarantee) const {
+  return guarantee == CompiledNetwork::kNone ? std::string{}
+                                             : network_.guarantee_name(guarantee);
+}
+
+void AssuranceTrace::evaluate(double time_s) {
+  network_.evaluate();
   ++evaluations_;
-  for (const auto& name : names_) {
-    const auto it = eval.best.find(name);
-    const std::string now = it == eval.best.end() ? std::string{} : it->second;
-    auto& prev = current_[name];
-    if (prev != now) {
-      transitions_.push_back({time_s, name, prev, now});
-      prev = now;
+  for (std::size_t c = 0; c < current_.size(); ++c) {
+    const std::size_t now = network_.best(c);
+    if (current_[c] != now) {
+      transitions_.push_back(
+          {time_s, network_.consert_name(c), label(current_[c]), label(now)});
+      current_[c] = now;
     }
   }
-  return eval;
 }
 
 std::vector<GuaranteeTransition> AssuranceTrace::transitions_of(
@@ -33,12 +33,15 @@ std::vector<GuaranteeTransition> AssuranceTrace::transitions_of(
 }
 
 std::string AssuranceTrace::current(const std::string& consert) const {
-  const auto it = current_.find(consert);
-  return it == current_.end() ? std::string{} : it->second;
+  // A name outside the network reads as the default, like one never granted.
+  for (std::size_t c = 0; c < current_.size(); ++c) {
+    if (network_.consert_name(c) == consert) return label(current_[c]);
+  }
+  return {};
 }
 
 void AssuranceTrace::clear() {
-  current_.clear();
+  current_.assign(current_.size(), CompiledNetwork::kNone);
   transitions_.clear();
   evaluations_ = 0;
 }

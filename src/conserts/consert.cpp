@@ -14,10 +14,6 @@ bool EvaluationContext::evidence(const std::string& name) const {
   return it != evidence_.end() && it->second;
 }
 
-bool EvaluationContext::has_evidence(const std::string& name) const {
-  return evidence_.count(name) > 0;
-}
-
 void EvaluationContext::grant(const std::string& consert,
                               const std::string& guarantee) {
   grants_.insert({consert, guarantee});
@@ -30,140 +26,66 @@ bool EvaluationContext::granted(const std::string& consert,
 
 void EvaluationContext::clear_grants() { grants_.clear(); }
 
-namespace {
-
-class EvidenceCondition final : public Condition {
- public:
-  explicit EvidenceCondition(std::string name) : name_(std::move(name)) {}
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return ctx.evidence(name_);
+bool Condition::evaluate(const EvaluationContext& ctx) const {
+  switch (kind_) {
+    case Kind::kEvidence: return ctx.evidence(name_);
+    case Kind::kDemand: return ctx.granted(name_, guarantee_);
+    case Kind::kConstant: return value_;
+    case Kind::kAllOf:
+      return std::all_of(children_.begin(), children_.end(),
+                         [&](const auto& c) { return c->evaluate(ctx); });
+    case Kind::kAnyOf:
+      return std::any_of(children_.begin(), children_.end(),
+                         [&](const auto& c) { return c->evaluate(ctx); });
+    case Kind::kNot: return !children_.front()->evaluate(ctx);
   }
-  void collect_evidence(std::set<std::string>& out) const override {
-    out.insert(name_);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>&) const override {}
+  return false;
+}
 
- private:
-  std::string name_;
-};
+void Condition::collect_evidence(std::set<std::string>& out) const {
+  if (kind_ == Kind::kEvidence) out.insert(name_);
+  for (const auto& c : children_) c->collect_evidence(out);
+}
 
-class DemandCondition final : public Condition {
- public:
-  DemandCondition(std::string consert, std::string guarantee)
-      : consert_(std::move(consert)), guarantee_(std::move(guarantee)) {}
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return ctx.granted(consert_, guarantee_);
-  }
-  void collect_evidence(std::set<std::string>&) const override {}
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    out.insert({consert_, guarantee_});
-  }
-
- private:
-  std::string consert_;
-  std::string guarantee_;
-};
-
-class ConstantCondition final : public Condition {
- public:
-  explicit ConstantCondition(bool value) : value_(value) {}
-  bool evaluate(const EvaluationContext&) const override { return value_; }
-  void collect_evidence(std::set<std::string>&) const override {}
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>&) const override {}
-
- private:
-  bool value_;
-};
-
-class GateCondition : public Condition {
- public:
-  explicit GateCondition(std::vector<ConditionPtr> children)
-      : children_(std::move(children)) {
-    if (children_.empty()) {
-      throw std::invalid_argument("ConSert gate condition without children");
-    }
-    for (const auto& c : children_) {
-      if (!c) throw std::invalid_argument("ConSert gate: null child");
-    }
-  }
-  void collect_evidence(std::set<std::string>& out) const override {
-    for (const auto& c : children_) c->collect_evidence(out);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    for (const auto& c : children_) c->collect_demands(out);
-  }
-
- protected:
-  std::vector<ConditionPtr> children_;
-};
-
-class AllOfCondition final : public GateCondition {
- public:
-  using GateCondition::GateCondition;
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return std::all_of(children_.begin(), children_.end(),
-                       [&](const auto& c) { return c->evaluate(ctx); });
-  }
-};
-
-class AnyOfCondition final : public GateCondition {
- public:
-  using GateCondition::GateCondition;
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return std::any_of(children_.begin(), children_.end(),
-                       [&](const auto& c) { return c->evaluate(ctx); });
-  }
-};
-
-class NotCondition final : public Condition {
- public:
-  explicit NotCondition(ConditionPtr child) : child_(std::move(child)) {
-    if (!child_) throw std::invalid_argument("ConSert not: null child");
-  }
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return !child_->evaluate(ctx);
-  }
-  void collect_evidence(std::set<std::string>& out) const override {
-    child_->collect_evidence(out);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    child_->collect_demands(out);
-  }
-
- private:
-  ConditionPtr child_;
-};
-
-}  // namespace
+void Condition::collect_demands(
+    std::set<std::pair<std::string, std::string>>& out) const {
+  if (kind_ == Kind::kDemand) out.insert({name_, guarantee_});
+  for (const auto& c : children_) c->collect_demands(out);
+}
 
 ConditionPtr Condition::evidence(std::string name) {
-  return std::make_shared<EvidenceCondition>(std::move(name));
+  return ConditionPtr(new Condition(Kind::kEvidence, std::move(name), {}, false, {}));
 }
 
 ConditionPtr Condition::demand(std::string consert, std::string guarantee) {
-  return std::make_shared<DemandCondition>(std::move(consert),
-                                           std::move(guarantee));
+  return ConditionPtr(new Condition(Kind::kDemand, std::move(consert),
+                                    std::move(guarantee), false, {}));
 }
 
 ConditionPtr Condition::constant(bool value) {
-  return std::make_shared<ConstantCondition>(value);
+  return ConditionPtr(new Condition(Kind::kConstant, {}, {}, value, {}));
+}
+
+ConditionPtr Condition::gate(Kind kind, std::vector<ConditionPtr> children) {
+  if (children.empty()) {
+    throw std::invalid_argument("ConSert gate condition without children");
+  }
+  for (const auto& c : children) {
+    if (!c) throw std::invalid_argument("ConSert gate: null child");
+  }
+  return ConditionPtr(new Condition(kind, {}, {}, false, std::move(children)));
 }
 
 ConditionPtr Condition::all_of(std::vector<ConditionPtr> children) {
-  return std::make_shared<AllOfCondition>(std::move(children));
+  return gate(Kind::kAllOf, std::move(children));
 }
 
 ConditionPtr Condition::any_of(std::vector<ConditionPtr> children) {
-  return std::make_shared<AnyOfCondition>(std::move(children));
+  return gate(Kind::kAnyOf, std::move(children));
 }
 
 ConditionPtr Condition::negate(ConditionPtr child) {
-  return std::make_shared<NotCondition>(std::move(child));
+  return gate(Kind::kNot, {std::move(child)});
 }
 
 ConSert::ConSert(std::string name) : name_(std::move(name)) {
@@ -201,17 +123,6 @@ std::optional<std::string> ConSert::best(const EvaluationContext& ctx) const {
   }
   if (!best_g) return std::nullopt;
   return best_g->name;
-}
-
-std::set<std::string> ConSert::demanded_conserts() const {
-  std::set<std::pair<std::string, std::string>> demands;
-  for (const auto& g : guarantees_) g.condition->collect_demands(demands);
-  std::set<std::string> out;
-  for (const auto& [consert, guarantee] : demands) {
-    (void)guarantee;
-    out.insert(consert);
-  }
-  return out;
 }
 
 GuaranteeExplanation explain_guarantee(const ConSert& consert,
@@ -280,14 +191,18 @@ std::vector<std::string> ConSertNetwork::topological_order() const {
   // Kahn's algorithm over the demand graph (dependencies first).
   std::map<std::string, std::set<std::string>> deps;
   for (const auto& [name, consert] : conserts_) {
-    std::set<std::string> demanded = consert.demanded_conserts();
-    for (const auto& d : demanded) {
-      if (!conserts_.count(d)) {
-        throw std::runtime_error("ConSertNetwork: '" + name +
-                                 "' demands unknown ConSert '" + d + "'");
-      }
+    std::set<std::string>& demanded_conserts = deps[name];
+    std::set<std::pair<std::string, std::string>> demands;
+    for (const auto& g : consert.guarantees()) {
+      g.condition->collect_demands(demands);
     }
-    deps[name] = std::move(demanded);
+    for (const auto& [demanded, guarantee] : demands) {
+      if (!conserts_.count(demanded)) {
+        throw std::runtime_error("ConSertNetwork: '" + name +
+                                 "' demands unknown ConSert '" + demanded + "'");
+      }
+      demanded_conserts.insert(demanded);
+    }
   }
   std::vector<std::string> order;
   while (order.size() < conserts_.size()) {
@@ -333,6 +248,159 @@ NetworkEvaluation ConSertNetwork::evaluate(EvaluationContext& ctx) const {
     }
   }
   return result;
+}
+
+namespace {
+
+/// Position of `name` in the ascending vector `names`, or npos.
+std::size_t index_in(const std::vector<std::string>& names,
+                     const std::string& name) {
+  const auto it = std::lower_bound(names.begin(), names.end(), name);
+  if (it == names.end() || *it != name) return CompiledNetwork::kNone;
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+}  // namespace
+
+CompiledNetwork::CompiledNetwork(const ConSertNetwork& network)
+    : consert_names_(network.names()) {
+  // Ids first: a condition may demand a guarantee of any ConSert.
+  std::set<std::string> evidence;
+  for (const auto& name : consert_names_) {
+    first_guarantee_.push_back(guarantees_.size());
+    for (const auto& g : network.at(name).guarantees()) {
+      guarantees_.push_back({g.name, g.rank, 0, 0});
+      g.condition->collect_evidence(evidence);
+    }
+  }
+  first_guarantee_.push_back(guarantees_.size());
+  evidence_names_.assign(evidence.begin(), evidence.end());
+  for (const auto& name : network.evaluation_order()) {
+    order_.push_back(consert_id(name));
+  }
+  for (std::size_t c = 0; c < consert_names_.size(); ++c) {
+    const auto& source = network.at(consert_names_[c]).guarantees();
+    for (std::size_t k = 0; k < source.size(); ++k) {
+      CompiledGuarantee& g = guarantees_[first_guarantee_[c] + k];
+      g.begin = static_cast<std::uint32_t>(program_.size());
+      emit(*source[k].condition);
+      g.end = static_cast<std::uint32_t>(program_.size());
+    }
+  }
+  evidence_.assign(evidence_names_.size(), 0);
+  granted_.assign(guarantees_.size(), 0);
+  best_.assign(consert_names_.size(), kNone);
+  stack_.assign(program_.size(), 0);  // a postfix program never nests deeper
+}
+
+void CompiledNetwork::emit(const Condition& c) {
+  using Kind = Condition::Kind;
+  switch (c.kind_) {
+    case Kind::kEvidence:
+      program_.push_back(
+          {Op::kEvidence,
+           static_cast<std::uint32_t>(index_in(evidence_names_, c.name_))});
+      return;
+    case Kind::kDemand: {
+      // The demanded ConSert exists (evaluation_order() checked it); a
+      // guarantee it does not offer is never granted.
+      const std::size_t g = find_guarantee(consert_id(c.name_), c.guarantee_);
+      if (g == kNone) {
+        program_.push_back({Op::kConstant, 0});
+      } else {
+        program_.push_back({Op::kGrant, static_cast<std::uint32_t>(g)});
+      }
+      return;
+    }
+    case Kind::kConstant:
+      program_.push_back({Op::kConstant, c.value_ ? 1u : 0u});
+      return;
+    case Kind::kAllOf:
+    case Kind::kAnyOf:
+    case Kind::kNot:
+      for (const auto& child : c.children_) emit(*child);
+      program_.push_back(
+          {c.kind_ == Kind::kAllOf   ? Op::kAll
+           : c.kind_ == Kind::kAnyOf ? Op::kAny
+                                     : Op::kNot,
+           static_cast<std::uint32_t>(c.children_.size())});
+      return;
+  }
+}
+
+std::size_t CompiledNetwork::evidence_slot(const std::string& name) const {
+  const std::size_t slot = index_in(evidence_names_, name);
+  if (slot == kNone) {
+    throw std::out_of_range("CompiledNetwork: no condition reads evidence " +
+                            name);
+  }
+  return slot;
+}
+
+std::size_t CompiledNetwork::consert_id(const std::string& name) const {
+  const std::size_t id = index_in(consert_names_, name);
+  if (id == kNone) throw std::out_of_range("CompiledNetwork: unknown " + name);
+  return id;
+}
+
+std::size_t CompiledNetwork::find_guarantee(std::size_t consert,
+                                            const std::string& name) const {
+  for (std::size_t g = first_guarantee_.at(consert);
+       g < first_guarantee_.at(consert + 1); ++g) {
+    if (guarantees_[g].name == name) return g;
+  }
+  return kNone;
+}
+
+std::size_t CompiledNetwork::guarantee_id(std::size_t consert,
+                                          const std::string& name) const {
+  const std::size_t g = find_guarantee(consert, name);
+  if (g == kNone) {
+    throw std::out_of_range("CompiledNetwork: " + consert_names_[consert] +
+                            " has no guarantee " + name);
+  }
+  return g;
+}
+
+void CompiledNetwork::evaluate() {
+  // Every demand reads a ConSert earlier in order_, so grants read below
+  // are those of this evaluation.
+  for (const std::size_t c : order_) {
+    std::size_t best = kNone;
+    for (std::size_t g = first_guarantee_[c]; g < first_guarantee_[c + 1]; ++g) {
+      std::size_t sp = 0;
+      for (std::uint32_t ip = guarantees_[g].begin; ip < guarantees_[g].end;
+           ++ip) {
+        const Instr in = program_[ip];
+        switch (in.op) {
+          case Op::kEvidence: stack_[sp++] = evidence_[in.arg]; break;
+          case Op::kGrant: stack_[sp++] = granted_[in.arg]; break;
+          case Op::kConstant: stack_[sp++] = static_cast<std::uint8_t>(in.arg); break;
+          case Op::kAll: {
+            sp -= in.arg;
+            std::uint8_t v = 1;
+            for (std::uint32_t k = 0; k < in.arg; ++k) v &= stack_[sp + k];
+            stack_[sp++] = v;
+            break;
+          }
+          case Op::kAny: {
+            sp -= in.arg;
+            std::uint8_t v = 0;
+            for (std::uint32_t k = 0; k < in.arg; ++k) v |= stack_[sp + k];
+            stack_[sp++] = v;
+            break;
+          }
+          case Op::kNot: stack_[sp - 1] ^= 1; break;
+        }
+      }
+      granted_[g] = stack_[0];
+      if (granted_[g] != 0 &&
+          (best == kNone || guarantees_[g].rank < guarantees_[best].rank)) {
+        best = g;
+      }
+    }
+    best_[c] = best;
+  }
 }
 
 }  // namespace sesame::conserts

@@ -2,17 +2,15 @@
 //
 // Shifting assurance to runtime (the ConSerts premise) obliges the system
 // to keep an evidence trail: which guarantees were in force when, and what
-// evidence changes moved them. The recorder wraps network evaluation,
+// evidence changes moved them. The recorder owns the compiled network,
 // stores a transition whenever a ConSert's best guarantee changes, and
 // produces the audit timeline a post-mission safety review replays.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sesame/conserts/consert.hpp"
-#include "sesame/conserts/evaluation_cache.hpp"
 
 namespace sesame::conserts {
 
@@ -27,16 +25,18 @@ struct GuaranteeTransition {
 
 class AssuranceTrace {
  public:
-  /// The trace snapshots the network's membership and its per-ConSert
-  /// input footprints: the network must be fully built before construction
-  /// and not mutated afterwards. Evaluation runs through a
-  /// CachedNetworkEvaluator, so unchanged evidence skips the condition-tree
-  /// walks; results are identical to ConSertNetwork::evaluate.
+  /// Compiles the network, which must be fully built: later add()s are not
+  /// seen. Throws like ConSertNetwork::evaluate on cycles or unknown
+  /// demands.
   explicit AssuranceTrace(const ConSertNetwork& network);
 
-  /// Evaluates the network at `time_s` and records any best-guarantee
-  /// transitions. Returns the evaluation.
-  NetworkEvaluation evaluate(EvaluationContext& ctx, double time_s);
+  /// The compiled network: set evidence here before evaluate(), read
+  /// grants and best guarantees here after it.
+  CompiledNetwork& network() noexcept { return network_; }
+
+  /// Evaluates the network over its current evidence at `time_s` and
+  /// records any best-guarantee transitions, in ConSert-name order.
+  void evaluate(double time_s);
 
   const std::vector<GuaranteeTransition>& transitions() const noexcept {
     return transitions_;
@@ -46,23 +46,22 @@ class AssuranceTrace {
   std::vector<GuaranteeTransition> transitions_of(
       const std::string& consert) const;
 
-  /// The guarantee currently in force for a ConSert (empty = default).
+  /// The guarantee currently in force for a ConSert (empty = default, also
+  /// for a name that is not in the network).
   std::string current(const std::string& consert) const;
 
   std::size_t evaluations() const noexcept { return evaluations_; }
 
-  /// Evaluation-cache counters.
-  std::size_t cache_hits() const noexcept { return cache_.hits(); }
-  std::size_t cache_misses() const noexcept { return cache_.misses(); }
-
   void clear();
 
  private:
-  std::vector<std::string> names_;  ///< network membership, snapshotted once
-  CachedNetworkEvaluator cache_;
-  std::map<std::string, std::string> current_;
+  CompiledNetwork network_;
+  /// Best guarantee id per ConSert id as last recorded (kNone = default).
+  std::vector<std::size_t> current_;
   std::vector<GuaranteeTransition> transitions_;
   std::size_t evaluations_ = 0;
+
+  std::string label(std::size_t guarantee) const;
 };
 
 }  // namespace sesame::conserts

@@ -19,6 +19,8 @@
 //     task redistribution / mission cannot be completed.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,9 @@ std::string evidence_key(const std::string& uav, const std::string& field);
 /// Writes all evidence flags of one UAV into the context.
 void apply_evidence(EvaluationContext& ctx, const std::string& uav,
                     const UavEvidence& evidence);
+
+/// Number of evidence flags in UavEvidence.
+inline constexpr std::size_t kUavEvidenceFields = 9;
 
 /// ConSert names for one UAV (all prefixed "<uav>/").
 struct UavConsertNames {
@@ -97,6 +102,27 @@ std::string uav_action_name(UavAction a);
 
 /// Maps a network evaluation onto the action for one UAV.
 UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav);
+
+/// One UAV's evidence slots, top-level ConSert and action guarantees in a
+/// compiled network, resolved once so that a runtime tick writes evidence
+/// and reads the action by index.
+struct UavSlots {
+  std::array<std::size_t, kUavEvidenceFields> evidence{};  ///< field order
+  std::size_t uav_consert = 0;
+  /// Guarantee ids of kContinueExtended..kReturnToBase, in action order.
+  std::array<std::size_t, 4> actions{};
+};
+
+/// Resolves `uav`'s slots; throws std::out_of_range when the network was
+/// not built with add_uav_conserts(network, uav).
+UavSlots uav_slots(const CompiledNetwork& network, const std::string& uav);
+
+/// Writes all evidence flags of one UAV into the compiled network.
+void write_evidence(CompiledNetwork& network, const UavSlots& slots,
+                    const UavEvidence& evidence);
+
+/// The action for one UAV after network.evaluate().
+UavAction uav_action(const CompiledNetwork& network, const UavSlots& slots);
 
 /// Mission-level decision (Fig. 1 top).
 enum class MissionDecision {

@@ -1,6 +1,7 @@
 #include "sesame/conserts/uav_network.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace sesame::conserts {
@@ -11,21 +12,57 @@ std::string evidence_key(const std::string& uav, const std::string& field) {
   return uav + "/" + field;
 }
 
+namespace {
+
+/// The UavEvidence flags and their evidence-key field names.
+struct EvidenceField {
+  const char* name;
+  bool UavEvidence::*flag;
+};
+constexpr EvidenceField kEvidenceFields[kUavEvidenceFields] = {
+    {"gps_quality_good", &UavEvidence::gps_quality_good},
+    {"no_security_attack", &UavEvidence::no_security_attack},
+    {"vision_sensor_healthy", &UavEvidence::vision_sensor_healthy},
+    {"safeml_confidence_high", &UavEvidence::safeml_confidence_high},
+    {"comm_link_good", &UavEvidence::comm_link_good},
+    {"nearby_uav_available", &UavEvidence::nearby_uav_available},
+    {"reliability_high", &UavEvidence::reliability_high},
+    {"reliability_medium", &UavEvidence::reliability_medium},
+    {"reliability_low", &UavEvidence::reliability_low},
+};
+
+/// UAV-ConSert guarantees in UavAction order (kEmergencyLand is the
+/// implicit default).
+const char* const kActionGuarantees[] = {
+    g::kContinueExtended, g::kContinue, g::kHold, g::kReturnToBase};
+
+}  // namespace
+
 void apply_evidence(EvaluationContext& ctx, const std::string& uav,
                     const UavEvidence& e) {
-  ctx.set_evidence(evidence_key(uav, "gps_quality_good"), e.gps_quality_good);
-  ctx.set_evidence(evidence_key(uav, "no_security_attack"), e.no_security_attack);
-  ctx.set_evidence(evidence_key(uav, "vision_sensor_healthy"),
-                   e.vision_sensor_healthy);
-  ctx.set_evidence(evidence_key(uav, "safeml_confidence_high"),
-                   e.safeml_confidence_high);
-  ctx.set_evidence(evidence_key(uav, "comm_link_good"), e.comm_link_good);
-  ctx.set_evidence(evidence_key(uav, "nearby_uav_available"),
-                   e.nearby_uav_available);
-  ctx.set_evidence(evidence_key(uav, "reliability_high"), e.reliability_high);
-  ctx.set_evidence(evidence_key(uav, "reliability_medium"),
-                   e.reliability_medium);
-  ctx.set_evidence(evidence_key(uav, "reliability_low"), e.reliability_low);
+  for (const auto& f : kEvidenceFields) {
+    ctx.set_evidence(evidence_key(uav, f.name), e.*f.flag);
+  }
+}
+
+UavSlots uav_slots(const CompiledNetwork& network, const std::string& uav) {
+  UavSlots s;
+  for (std::size_t k = 0; k < kUavEvidenceFields; ++k) {
+    s.evidence[k] =
+        network.evidence_slot(evidence_key(uav, kEvidenceFields[k].name));
+  }
+  s.uav_consert = network.consert_id(uav_consert_names(uav).uav);
+  for (std::size_t k = 0; k < s.actions.size(); ++k) {
+    s.actions[k] = network.guarantee_id(s.uav_consert, kActionGuarantees[k]);
+  }
+  return s;
+}
+
+void write_evidence(CompiledNetwork& network, const UavSlots& slots,
+                    const UavEvidence& e) {
+  for (std::size_t k = 0; k < kUavEvidenceFields; ++k) {
+    network.set_evidence(slots.evidence[k], e.*kEvidenceFields[k].flag);
+  }
 }
 
 UavConsertNames uav_consert_names(const std::string& uav) {
@@ -139,11 +176,20 @@ UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav) {
   const auto it = eval.best.find(uav_consert_names(uav).uav);
   if (it == eval.best.end()) return UavAction::kEmergencyLand;
   const std::string& best = it->second;
-  if (best == g::kContinueExtended) return UavAction::kContinueExtended;
-  if (best == g::kContinue) return UavAction::kContinue;
-  if (best == g::kHold) return UavAction::kHold;
-  if (best == g::kReturnToBase) return UavAction::kReturnToBase;
+  for (std::size_t k = 0; k < std::size(kActionGuarantees); ++k) {
+    if (best == kActionGuarantees[k]) return static_cast<UavAction>(k);
+  }
   throw std::logic_error("uav_action: unexpected guarantee " + best);
+}
+
+UavAction uav_action(const CompiledNetwork& network, const UavSlots& slots) {
+  const std::size_t best = network.best(slots.uav_consert);
+  if (best == CompiledNetwork::kNone) return UavAction::kEmergencyLand;
+  for (std::size_t k = 0; k < slots.actions.size(); ++k) {
+    if (best == slots.actions[k]) return static_cast<UavAction>(k);
+  }
+  throw std::logic_error("uav_action: unexpected guarantee " +
+                         network.guarantee_name(best));
 }
 
 std::string mission_decision_name(MissionDecision d) {

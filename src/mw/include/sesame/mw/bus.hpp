@@ -250,8 +250,8 @@ class Bus {
     ++published_;
     // A type mismatch must surface deterministically, before any handler
     // runs and regardless of what the fault policies decide.
-    validate_subscriber_types(ts, std::type_index(typeid(T)),
-                              typeid(T).name(), h.topic);
+    check_subscriber_types(ts, std::type_index(typeid(T)), typeid(T).name(),
+                           h.topic);
     FaultDecision fd;
     if (!policies_.empty()) {
       // Every policy is consulted for every accepted publication (even
@@ -325,7 +325,9 @@ class Bus {
                                                const void* payload) {
       handler(h, *static_cast<const T*>(payload));
     };
-    topics_[topic.index_].subscribers.push_back(std::move(e));
+    TopicState& ts = topics_[topic.index_];
+    if (ts.checked_type != e.type) ts.checked_type = kUnchecked;
+    ts.subscribers.push_back(std::move(e));
     return Subscription(this, Subscription::Kind::kSubscriber, topic, id);
   }
 
@@ -451,6 +453,8 @@ class Bus {
   static constexpr std::uint64_t kLive =
       std::numeric_limits<std::uint64_t>::max();
   static constexpr std::uint32_t kNoRestriction = 0xFFFFFFFFu;
+  /// No payload is of type void, so it marks an unchecked topic.
+  static inline const std::type_index kUnchecked{typeid(void)};
 
   /// A subscriber registration. `born`/`died` are bus-epoch stamps that
   /// implement copy-free re-entrant iteration: a fan-out with snapshot S
@@ -505,6 +509,11 @@ class Bus {
     std::deque<Entry> subscribers;
     std::uint32_t allowed_source = kNoRestriction;  ///< ACL (SourceId index)
     TopicInstruments instruments;
+    /// A payload type every live subscriber is known to expect, or
+    /// kUnchecked. Set when a publication of that type passes the check;
+    /// cleared when a subscriber of another type arrives. Unsubscribing
+    /// never clears it: a subset of matching subscribers still matches.
+    std::type_index checked_type = kUnchecked;
     bool instruments_ready = false;
     bool has_tombstones = false;
   };
@@ -526,6 +535,16 @@ class Bus {
   void validate_subscriber_types(const TopicState& ts, std::type_index type,
                                  const char* type_name,
                                  std::string_view topic) const;
+
+  /// validate_subscriber_types, run only on the first publication or
+  /// delivery of `type` since the topic last gained a subscriber of
+  /// another type; repeats of a type that passed are a compare.
+  void check_subscriber_types(TopicState& ts, std::type_index type,
+                              const char* type_name, std::string_view topic) {
+    if (ts.checked_type == type) return;
+    validate_subscriber_types(ts, type, type_name, topic);
+    ts.checked_type = type;
+  }
 
   /// Unregisters a subscriber/tap/policy (Subscription::reset). Outside a
   /// fan-out the entry is erased immediately (ordered — delivery order of
@@ -556,8 +575,8 @@ class Bus {
   void deliver_now(TopicId topic, const MessageHeader& h, const T& payload) {
     TopicState& ts = topics_[topic.index_];
     if (ts.subscribers.empty()) return;
-    validate_subscriber_types(ts, std::type_index(typeid(T)),
-                              typeid(T).name(), h.topic);
+    check_subscriber_types(ts, std::type_index(typeid(T)), typeid(T).name(),
+                           h.topic);
     TopicInstruments* ti =
         metrics_ != nullptr ? &instruments(topic) : nullptr;
     const auto t0 = ti != nullptr ? std::chrono::steady_clock::now()

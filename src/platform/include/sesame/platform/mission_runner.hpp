@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sesame/conserts/assurance_trace.hpp"
+#include "sesame/conserts/uav_network.hpp"
 #include "sesame/eddi/uav_eddi.hpp"
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/obs/observability.hpp"
@@ -231,8 +232,8 @@ class MissionRunner {
   // Vehicle names in add order; per-vehicle runner state below is held in
   // vectors parallel to names_ (index == World fleet index), and every
   // internal reference to a vehicle is that index. Names are used only
-  // for labels, the report, and the name-keyed ConSert model and
-  // UavManager.
+  // for labels, the report, building the ConSert model and resolving its
+  // slots once (uav_slots_), and UavManager.
   std::vector<std::string> names_;
   std::vector<geo::EnuPoint> home_enu_;
   std::vector<sar::SweepPlan> plans_;  // parallel to names_
@@ -245,6 +246,7 @@ class MissionRunner {
   std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;  // parallel to names_
   conserts::ConSertNetwork consert_network_;
   std::unique_ptr<conserts::AssuranceTrace> assurance_trace_;
+  std::vector<conserts::UavSlots> uav_slots_;  // parallel to names_
   sim::CommLink comm_link_{sim::CommLinkConfig{}};
 
   obs::Observability* obs_ = nullptr;

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ranges>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "sesame/geo/geodesy.hpp"
 #include "sesame/mathx/stats.hpp"
@@ -319,9 +320,12 @@ std::vector<std::vector<double>> MissionRunner::collect_safeml_reference() {
 void MissionRunner::setup_sesame() {
   // IDS + Security EDDI watching the fix channels.
   ids_ = std::make_unique<security::IntrusionDetectionSystem>(world_->bus());
-  for (const auto& name : names_) {
-    ids_->authorize(sim::position_fix_topic(name), "collaborative_localization");
-    ids_->track_position_topic(sim::position_fix_topic(name));
+  std::unordered_map<std::string, std::size_t> fix_topic_uav;
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    const std::string topic = sim::position_fix_topic(names_[i]);
+    ids_->authorize(topic, "collaborative_localization");
+    ids_->track_position_topic(topic);
+    fix_topic_uav.emplace(topic, i);
   }
   security_ = std::make_shared<security::SecurityEddi>(
       world_->bus(), security::make_spoofing_attack_tree());
@@ -330,12 +334,10 @@ void MissionRunner::setup_sesame() {
   compromised_.assign(names_.size(), 0);
   alert_subscription_ = world_->bus().subscribe<security::IdsAlert>(
       security::ids_alert_topic(),
-      [this](const mw::MessageHeader&, const security::IdsAlert& alert) {
-        for (std::size_t i = 0; i < names_.size(); ++i) {
-          if (alert.topic == sim::position_fix_topic(names_[i])) {
-            compromised_[i] = 1;
-          }
-        }
+      [this, fix_topic_uav = std::move(fix_topic_uav)](
+          const mw::MessageHeader&, const security::IdsAlert& alert) {
+        const auto it = fix_topic_uav.find(alert.topic);
+        if (it != fix_topic_uav.end()) compromised_[it->second] = 1;
       });
 
   auto reference = collect_safeml_reference();
@@ -446,6 +448,11 @@ void MissionRunner::setup_sesame() {
   }
   assurance_trace_ =
       std::make_unique<conserts::AssuranceTrace>(consert_network_);
+  uav_slots_.reserve(names_.size());
+  for (const auto& name : names_) {
+    uav_slots_.push_back(
+        conserts::uav_slots(assurance_trace_->network(), name));
+  }
 }
 
 void MissionRunner::attach_observability(obs::Observability& o) {
@@ -711,12 +718,12 @@ RunnerResult MissionRunner::run() {
 
     if (config_.sesame_enabled) {
       // EDDIs tick every step (their trackers and monitors integrate over
-      // time, and gather_inputs draws world randomness); the evidence
-      // context is only materialized on ConSert-evaluation ticks, since
-      // consert_evidence() is a pure read of the EDDI state.
+      // time, and gather_inputs draws world randomness); the evidence is
+      // only written on ConSert-evaluation ticks, since consert_evidence()
+      // is a pure read of the EDDI state.
       for (std::size_t i = 0; i < n; ++i) eddis_[i]->tick(gather_inputs(i));
       if (consert_due) {
-        conserts::EvaluationContext ctx;
+        conserts::CompiledNetwork& network = assurance_trace_->network();
         for (std::size_t i = 0; i < n; ++i) {
           const auto& name = names_[i];
           auto evidence = eddis_[i]->consert_evidence();
@@ -729,7 +736,7 @@ RunnerResult MissionRunner::run() {
           invariants_->check_evidence_fresh(world_->time_s(), name,
                                             evidence.comm_link_good,
                                             staleness_s(i));
-          conserts::apply_evidence(ctx, name, evidence);
+          conserts::write_evidence(network, uav_slots_[i], evidence);
         }
         obs::Span eval_span;
         if (obs_ != nullptr) {
@@ -738,10 +745,9 @@ RunnerResult MissionRunner::run() {
               {{"t_s", obs::attr_value(world_->time_s())}});
           consert_evals_counter_->inc();
         }
-        const auto eval = assurance_trace_->evaluate(ctx, world_->time_s());
+        assurance_trace_->evaluate(world_->time_s());
         for (std::size_t i = 0; i < n; ++i) {
-          const auto& name = names_[i];
-          auto action = conserts::uav_action(eval, name);
+          auto action = conserts::uav_action(network, uav_slots_[i]);
           const auto& assessment = eddis_[i]->assessment();
           // Safety EDDI corrective action overrides the lattice: crossing
           // the abort threshold forces an emergency landing (Fig. 5).
@@ -749,7 +755,7 @@ RunnerResult MissionRunner::run() {
             action = conserts::UavAction::kEmergencyLand;
           }
           current_action[i] = action;
-          uav_manager_->apply_action(name, action);
+          uav_manager_->apply_action(names_[i], action);
         }
         // Mission-level task redistribution (Fig. 1 decider): a UAV that
         // dropped out with tasks pending hands its remaining waypoints to a

@@ -1,8 +1,9 @@
 #include "sesame/safeml/distances.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "measure_terms.hpp"
 
 namespace sesame::safeml {
 
@@ -70,79 +71,17 @@ std::vector<double> sorted_copy(const std::vector<double>& v) {
   return out;
 }
 
-double ks_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  double best = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    best = std::max(best, std::abs(fa - fb));
-  });
-  return best;
-}
-
-double kuiper_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  double dplus = 0.0, dminus = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    dplus = std::max(dplus, fa - fb);
-    dminus = std::max(dminus, fb - fa);
-  });
-  return dplus + dminus;
-}
-
-double anderson_darling_sorted(const std::vector<double>& a,
-                               const std::vector<double>& b) {
+/// Measure `M` over two ascending samples: one fold over the walk.
+template <Measure M>
+double measure_sorted(const std::vector<double>& a, const std::vector<double>& b) {
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  // Integrate (Fa-Fb)^2 / (H(1-H)) dH-steps over the pooled ECDF H.
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    const double h = (na * fa + nb * fb) / n;
-    const double w = h * (1.0 - h);
-    if (w > 1e-12) {
-      const double d = fa - fb;
-      acc += d * d / w;
-    }
-  });
-  // Normalize by the number of joint steps so the statistic is comparable
-  // across window sizes (runtime monitors use fixed windows anyway).
-  return acc * (na * nb) / (n * n);
-}
-
-double cramer_von_mises_sorted(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    const double d = fa - fb;
-    acc += d * d;
-  });
-  return acc * (na * nb) / (n * n);
-}
-
-double wasserstein_sorted(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  double acc = 0.0;
+  const detail::Sizes sz{na, nb, na + nb};
+  double s1 = 0.0, s2 = 0.0;
   walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double dx) {
-    acc += std::abs(fa - fb) * dx;
+    detail::fold_step<M>(fa, fb, dx, sz, s1, s2);
   });
-  return acc;
-}
-
-double dts_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double dx) {
-    const double h = (na * fa + nb * fb) / n;
-    const double w = h * (1.0 - h);
-    if (w > 1e-12) {
-      const double d = fa - fb;
-      acc += (d * d / w) * dx;
-    }
-  });
-  return acc;
+  return detail::finish<M>(s1, s2, sz);
 }
 
 }  // namespace
@@ -168,65 +107,44 @@ const std::vector<Measure>& all_measures() {
 }
 
 double ks_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "ks_distance");
-  return ks_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kKolmogorovSmirnov, a, b);
 }
 
 double kuiper_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "kuiper_distance");
-  return kuiper_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kKuiper, a, b);
 }
 
 double anderson_darling_distance(const std::vector<double>& a,
                                  const std::vector<double>& b) {
-  require_samples(a, b, "anderson_darling_distance");
-  return anderson_darling_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kAndersonDarling, a, b);
 }
 
 double cramer_von_mises_distance(const std::vector<double>& a,
                                  const std::vector<double>& b) {
-  require_samples(a, b, "cramer_von_mises_distance");
-  return cramer_von_mises_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kCramerVonMises, a, b);
 }
 
 double wasserstein_distance(const std::vector<double>& a,
                             const std::vector<double>& b) {
-  require_samples(a, b, "wasserstein_distance");
-  return wasserstein_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kWasserstein, a, b);
 }
 
 double dts_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "dts_distance");
-  return dts_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kDts, a, b);
 }
 
 double distance(Measure m, const std::vector<double>& a,
                 const std::vector<double>& b) {
-  switch (m) {
-    case Measure::kKolmogorovSmirnov: return ks_distance(a, b);
-    case Measure::kKuiper: return kuiper_distance(a, b);
-    case Measure::kAndersonDarling: return anderson_darling_distance(a, b);
-    case Measure::kCramerVonMises: return cramer_von_mises_distance(a, b);
-    case Measure::kWasserstein: return wasserstein_distance(a, b);
-    case Measure::kDts: return dts_distance(a, b);
-  }
-  throw std::invalid_argument("distance: unknown measure");
+  require_samples(a, b, "distance");
+  return distance_sorted(m, sorted_copy(a), sorted_copy(b));
 }
 
 double distance_sorted(Measure m, const std::vector<double>& a_sorted,
                        const std::vector<double>& b_sorted) {
   require_samples(a_sorted, b_sorted, "distance_sorted");
-  switch (m) {
-    case Measure::kKolmogorovSmirnov: return ks_sorted(a_sorted, b_sorted);
-    case Measure::kKuiper: return kuiper_sorted(a_sorted, b_sorted);
-    case Measure::kAndersonDarling:
-      return anderson_darling_sorted(a_sorted, b_sorted);
-    case Measure::kCramerVonMises:
-      return cramer_von_mises_sorted(a_sorted, b_sorted);
-    case Measure::kWasserstein: return wasserstein_sorted(a_sorted, b_sorted);
-    case Measure::kDts: return dts_sorted(a_sorted, b_sorted);
-  }
-  throw std::invalid_argument("distance_sorted: unknown measure");
+  return detail::dispatch(m, [&](auto measure) {
+    return measure_sorted<decltype(measure)::value>(a_sorted, b_sorted);
+  });
 }
 
 double permutation_p_value(Measure m, const std::vector<double>& a,

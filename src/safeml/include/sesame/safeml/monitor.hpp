@@ -7,6 +7,7 @@
 // perception-based guarantees (e.g. "vision-based navigation < 1 m") hold.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +42,9 @@ struct MonitorConfig {
 };
 
 /// Sliding-window distribution-shift monitor over one or more features.
+/// A push updates running sums over the pooled reference and window, so
+/// assess() costs O(features); its verdicts are bit-identical to
+/// distance_sorted() over the sorted reference and window.
 class Monitor {
  public:
   /// `reference` holds one training-time sample per feature (all non-empty,
@@ -48,9 +52,7 @@ class Monitor {
   /// empty/invalid configuration.
   Monitor(MonitorConfig config, std::vector<std::vector<double>> reference);
 
-  std::size_t num_features() const noexcept {
-    return reference_sorted_.size();
-  }
+  std::size_t num_features() const noexcept { return pooled_.size(); }
   const MonitorConfig& config() const noexcept { return config_; }
 
   /// Pushes one runtime observation (one value per feature), evicting the
@@ -76,20 +78,43 @@ class Monitor {
   void reset();
 
  private:
+  /// One feature's reference and current window merged into one ascending
+  /// sequence (reference copies first among equal values), with the
+  /// measure's in-order running statistic at every position. The term of
+  /// the ECDF walk that distance_sorted() emits for a distinct value sits
+  /// at the last position holding that value; the other positions of a run
+  /// of equal values add nothing. A push changes the terms only from the
+  /// position before the first element it moved, so it re-adds them from
+  /// there, resuming from the statistic cached one position earlier.
+  struct Pooled {
+    std::vector<double> value;
+    std::vector<std::uint8_t> from_reference;
+    /// Reference copies at positions <= k.
+    std::vector<std::size_t> reference_count;
+    /// Running sum (running max for KS, max of fa - fb for Kuiper) after
+    /// the term at position k.
+    std::vector<double> stat;
+    /// Kuiper only: running max of fb - fa.
+    std::vector<double> stat2;
+    /// fa[i] = i / reference size: the walk's divisions, tabulated.
+    std::vector<double> fa;
+  };
+
   MonitorConfig config_;
-  /// Ascending-sorted reference sample per feature, sorted once so every
-  /// assessment walks it without re-sorting.
-  std::vector<std::vector<double>> reference_sorted_;
+  std::vector<Pooled> pooled_;  ///< one per feature
+  /// fb_[j] = j / window, shared by all features.
+  std::vector<double> fb_;
   /// Arrival-order ring of the last `window` observations (row = one
   /// observation, one column per feature); `oldest_` is the next row to
   /// evict once `buffered_` reaches the window.
   std::vector<double> fifo_;
   std::size_t oldest_ = 0;
   std::size_t buffered_ = 0;
-  /// The same window per feature in ascending order, maintained by push()
-  /// so an assessment walks it directly. Capacity is reserved once.
-  std::vector<std::vector<double>> window_sorted_;
 
+  /// Re-adds the terms of `p` from position `from` to the end.
+  void resum(Pooled& p, std::size_t from);
+  /// The measure's value from the running statistic at the last position.
+  double feature_distance(const Pooled& p) const;
   ConfidenceLevel classify(double confidence) const;
 };
 

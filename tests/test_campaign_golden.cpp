@@ -9,12 +9,19 @@
 // `fleet_1024` is left out because it is slow; CI runs it separately
 // under --fail-on-violation.
 //
+// Reports carry no SafeML value, so a 1-ULP drift in a monitor that
+// happens not to flip a threshold leaves them unchanged. The tick-level
+// goldens below close that gap: they pin every tick's p_fail and
+// sar_uncertainty bit patterns and action, plus the assurance-trace
+// transitions, of run 0 of a seed-7 campaign of two presets.
+//
 // The digests are those of the fault-free stack, so this binary clears the
 // SESAME_FAULT_PLAN hook (docs/FAULT_INJECTION.md) before any run: under
 // the CI fault-stress job it still checks the pinned bytes, with the
 // sanitizers on.
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -23,18 +30,38 @@
 
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/report.hpp"
+#include "sesame/campaign/scenario_factory.hpp"
 
 namespace campaign = sesame::campaign;
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+/// Incremental FNV-1a 64.
+class Fnv1a64 {
+ public:
+  void add(std::string_view bytes) {
+    for (const unsigned char c : bytes) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ULL;
+    }
   }
-  return h;
+  /// The value's object representation (bit pattern).
+  template <typename T>
+  void add_bits(T v) {
+    char b[sizeof v];
+    std::memcpy(b, &v, sizeof v);
+    add(std::string_view(b, sizeof b));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  Fnv1a64 h;
+  h.add(bytes);
+  return h.value();
 }
 
 struct Golden {
@@ -85,6 +112,49 @@ TEST_P(GoldenCampaign, ReportDigestIsPinnedAtOneAndFourJobs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, GoldenCampaign, ::testing::ValuesIn(kGolden),
+                         [](const ::testing::TestParamInfo<Golden>& info) {
+                           return std::string(info.param.preset);
+                         });
+
+/// Digest of run 0's per-tick assurance outputs.
+std::uint64_t tick_digest(const std::string& preset) {
+  const auto runner =
+      campaign::ScenarioFactory::preset(preset).make_runner(kSeed, 0);
+  const auto result = runner->run();
+  EXPECT_FALSE(result.series.empty()) << preset;
+  EXPECT_FALSE(result.assurance_trace.empty()) << preset;
+  Fnv1a64 d;
+  for (const auto& [uav, series] : result.series) {
+    d.add(uav);
+    for (const auto& rec : series) {
+      d.add_bits(rec.p_fail);
+      d.add_bits(rec.sar_uncertainty);
+      d.add_bits(static_cast<int>(rec.action));
+    }
+  }
+  for (const auto& t : result.assurance_trace) {
+    d.add_bits(t.time_s);
+    d.add(t.consert);
+    d.add(t.from);
+    d.add(t.to);
+  }
+  return d.value();
+}
+
+constexpr Golden kTickGolden[] = {
+    {"spoofing", 0x557db840b2993628ULL},
+    {"battery_fault", 0x8a642da5f19482a4ULL},
+};
+
+class GoldenTicks : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(GoldenTicks, SeriesAndAssuranceTraceDigestIsPinned) {
+  const Golden& g = GetParam();
+  const std::uint64_t digest = tick_digest(g.preset);
+  EXPECT_EQ(digest, g.digest) << g.preset << ": got 0x" << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, GoldenTicks, ::testing::ValuesIn(kTickGolden),
                          [](const ::testing::TestParamInfo<Golden>& info) {
                            return std::string(info.param.preset);
                          });

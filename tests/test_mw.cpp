@@ -362,6 +362,44 @@ TEST(Bus, TypeMismatchDeliversToNoOneAtAll) {
   EXPECT_EQ(delivered, 0);  // all-or-nothing: nobody saw the bad publication
 }
 
+TEST(Bus, TypeCheckSeesSubscribersThatArriveAfterAPassingPublication) {
+  // The type check runs once per (topic, payload type) until a subscriber
+  // of another type arrives; from then on the next publication or delayed
+  // delivery re-checks and throws before any handler runs.
+  mw::Bus bus;
+  int delivered = 0;
+  auto ok = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int&) { ++delivered; });
+  bus.publish("t", 1, "n", 0.0);
+  bus.publish("t", 2, "n", 0.1);
+  EXPECT_EQ(delivered, 2);
+  {
+    auto bad = bus.subscribe<double>(
+        "t", [](const mw::MessageHeader&, const double&) {});
+    EXPECT_THROW(bus.publish("t", 3, "n", 0.2), std::runtime_error);
+    EXPECT_THROW(bus.publish("t", 4, "n", 0.3), std::runtime_error);
+    EXPECT_EQ(delivered, 2);
+  }
+  bus.publish("t", 5, "n", 0.4);  // the mismatching subscriber left
+  EXPECT_EQ(delivered, 3);
+
+  // A message delayed while the types matched is re-checked at drain time.
+  struct DelayAll final : mw::DeliveryPolicy {
+    mw::FaultDecision decide(const mw::MessageHeader&) override {
+      mw::FaultDecision d;
+      d.delay_steps = 1;
+      return d;
+    }
+  };
+  DelayAll delay;
+  auto policy = bus.add_delivery_policy(&delay);
+  bus.publish("t", 6, "n", 0.5);
+  auto late = bus.subscribe<double>(
+      "t", [](const mw::MessageHeader&, const double&) {});
+  EXPECT_THROW(bus.drain_delayed(), std::runtime_error);
+  EXPECT_EQ(delivered, 3);
+}
+
 TEST(Bus, MessagesPublishedExcludesAclRejected) {
   // Regression: messages_published() returned the raw sequence counter,
   // which also counts publications the ACL rejected.

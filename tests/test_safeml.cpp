@@ -1,12 +1,15 @@
 // Tests for SafeML: distance measures against hand-computed values and
 // statistical properties, permutation testing, the sliding-window
-// monitor's confidence mapping, and generated equivalence checks of the
-// incremental sorted window and ECDF walk against a copy+sort oracle.
+// monitor's confidence mapping, and generated equivalence checks: the
+// ECDF walk against a two-sided-merge oracle, and the monitor's running
+// pooled sums against that oracle and against distance_sorted.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -31,7 +34,7 @@ std::vector<double> normal_sample(mx::Rng& rng, std::size_t n, double mean,
 // Oracle: the monitor's original evaluation path, kept verbatim as a
 // reference. It copies the arrival-order window, sorts it, and walks the two
 // ECDFs with a two-sided merge (one comparison between the heads per step).
-// The incremental sorted window and the window-outer walk must reproduce its
+// The window-outer walk and the monitor's pooled sums must reproduce its
 // results bit for bit.
 
 template <typename Callback>
@@ -687,4 +690,85 @@ TEST(Monitor, ResetThenRefillMatchesAFreshMonitor) {
   }
   EXPECT_TRUE(same_bits(used.per_feature_dissimilarity(),
                         fresh.per_feature_dissimilarity()));
+}
+
+TEST(Monitor, PooledSumsMatchDistanceSortedAfterEveryPush) {
+  // The monitor's running pooled sums against the from-scratch oracle,
+  // distance_sorted over the sorted reference and the sorted window, bit
+  // for bit after every push: windows 2..128, references of 1..500 values,
+  // quantised values with cross-sample ties and signed zeros, the fill
+  // phase, reset(), and a copy taken mid-stream that must then evolve
+  // exactly like the original.
+  static const double kQuantised[] = {-1.0, -0.0, 0.0, 0.25, 0.5, 1.0};
+  for (const std::size_t window : {2u, 3u, 16u, 64u, 128u}) {
+    for (const std::size_t ref_size : {1u, 5u, 64u, 500u}) {
+      for (const auto m : sml::all_measures()) {
+        mx::Rng rng(7000 + 31 * window + ref_size);
+        std::vector<std::vector<double>> reference(3);
+        for (std::size_t i = 0; i < ref_size; ++i) {
+          reference[0].push_back(kQuantised[rng.uniform_index(6)]);
+          reference[1].push_back(rng.normal(0.0, 1.0));
+          reference[2].push_back(tie_heavy_value(rng));
+        }
+        std::vector<std::vector<double>> ref_sorted = reference;
+        for (auto& r : ref_sorted) std::sort(r.begin(), r.end());
+        sml::MonitorConfig cfg;
+        cfg.measure = m;
+        cfg.window = window;
+        cfg.full_scale = 2.0;
+        sml::Monitor mon(cfg, reference);
+        std::optional<sml::Monitor> copy;
+        std::vector<std::deque<double>> fifo(3);
+        const std::size_t steps = 3 * window + 9;
+        for (std::size_t step = 0; step < steps; ++step) {
+          if (step == window + 3) {
+            mon.reset();
+            for (auto& f : fifo) f.clear();
+          }
+          if (step == window + 3 + window / 2) copy.emplace(mon);  // mid-fill
+          const double f1 = rng.uniform() < 0.3
+                                ? reference[1][rng.uniform_index(ref_size)]
+                                : rng.normal(0.3, 1.2);
+          const std::vector<double> obs{kQuantised[rng.uniform_index(6)], f1,
+                                        tie_heavy_value(rng)};
+          mon.push(obs);
+          if (copy) copy->push(obs);
+          for (std::size_t k = 0; k < 3; ++k) {
+            fifo[k].push_back(obs[k]);
+            if (fifo[k].size() > window) fifo[k].pop_front();
+          }
+          const std::string where = sml::measure_name(m) + " window " +
+                                    std::to_string(window) + " reference " +
+                                    std::to_string(ref_size) + " step " +
+                                    std::to_string(step);
+          if (fifo[0].size() < window) {
+            ASSERT_FALSE(mon.ready()) << where;
+            ASSERT_TRUE(mon.per_feature_dissimilarity().empty()) << where;
+            ASSERT_FALSE(mon.assess().has_value()) << where;
+            continue;
+          }
+          std::vector<double> want;
+          double total = 0.0;
+          for (std::size_t k = 0; k < 3; ++k) {
+            std::vector<double> w(fifo[k].begin(), fifo[k].end());
+            std::sort(w.begin(), w.end());
+            want.push_back(sml::distance_sorted(m, ref_sorted[k], w));
+            total += want.back();
+          }
+          ASSERT_TRUE(same_bits(mon.per_feature_dissimilarity(), want)) << where;
+          // distance_sorted shares its fold with the monitor; the verbatim
+          // two-sided-merge oracle shares nothing with either.
+          ASSERT_TRUE(same_bits(mon.per_feature_dissimilarity(),
+                                oracle_per_feature(m, reference, fifo)))
+              << where << " (two-sided-merge oracle)";
+          ASSERT_TRUE(same_bits({mon.assess()->dissimilarity}, {total / 3.0}))
+              << where;
+          if (copy) {
+            ASSERT_TRUE(same_bits(copy->per_feature_dissimilarity(), want))
+                << where << " (copy)";
+          }
+        }
+      }
+    }
+  }
 }

@@ -61,11 +61,15 @@ void BM_CampaignSesame(benchmark::State& state) {
 
 // Real time: the campaign runs on worker threads, so the main thread's CPU
 // time is no measure of a campaign's duration (runs_per_s is a rate over
-// the timer the benchmark uses).
+// the timer the benchmark uses). Wall-clock rates on a shared host swing
+// from run to run, so each row repeats and reports its mean, median,
+// stddev and cv; compare medians.
 BENCHMARK(BM_CampaignBaseline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->Repetitions(5)->ReportAggregatesOnly(true);
 BENCHMARK(BM_CampaignSesame)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->Repetitions(5)->ReportAggregatesOnly(true);
 
 int main(int argc, char** argv) {
   return sesame::bench::run_main(argc, argv);

@@ -1,14 +1,16 @@
 // Exercises the paper's Fig. 1 hierarchical ConSert network: enumerates
-// the evidence space, prints the resulting action lattice and mission
-// decisions, and times the runtime evaluation (the cost that matters for
-// "shifting assurance to runtime" on constrained UAV hardware):
-// BM_SingleUavEvaluation and BM_FleetEvaluation time the string-keyed
-// ConSertNetwork::evaluate oracle, BM_ConsertTick3Uav the compiled
-// network a mission evaluates every ConSert period.
+// the evidence space through the compiled network, prints the resulting
+// action lattice and mission decisions with PASS/FAIL shape checks, and
+// times the runtime evaluation (the cost that matters for "shifting
+// assurance to runtime" on constrained UAV hardware):
+// BM_SingleUavEvaluation and BM_FleetEvaluation time
+// CompiledNetwork::evaluate alone, BM_ConsertTick3Uav the whole ConSert
+// tick a mission runs every ConSert period.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <string>
@@ -37,22 +39,40 @@ UavEvidence evidence_from_mask(unsigned mask) {
   return e;
 }
 
-void report() {
+/// UAV "uav1"'s Fig. 1 network, compiled.
+struct CompiledUav {
+  CompiledNetwork compiled{network()};
+  UavSlots slots = uav_slots(compiled, "uav1");
+
+  static ConSertNetwork network() {
+    ConSertNetwork net;
+    add_uav_conserts(net, "uav1");
+    return net;
+  }
+
+  UavAction action(const UavEvidence& e) {
+    write_evidence(compiled, slots, e);
+    compiled.evaluate();
+    return uav_action(compiled, slots);
+  }
+};
+
+/// Returns the number of failed shape checks.
+int report() {
+  sesame::bench::ShapeChecks checks;
   std::printf("==============================================================\n");
   std::printf("Fig. 1 — Hierarchical ConSert UAV network evaluation\n");
   std::printf("==============================================================\n");
 
-  ConSertNetwork net;
-  add_uav_conserts(net, "uav1");
+  CompiledUav uav;
 
   // Sweep the full evidence space; count the resulting actions.
   std::size_t counts[5] = {0, 0, 0, 0, 0};
+  UavAction actions[256];
   const unsigned total = 1u << 8;
   for (unsigned mask = 0; mask < total; ++mask) {
-    EvaluationContext ctx;
-    apply_evidence(ctx, "uav1", evidence_from_mask(mask));
-    const auto eval = net.evaluate(ctx);
-    counts[static_cast<int>(uav_action(eval, "uav1"))]++;
+    actions[mask] = uav.action(evidence_from_mask(mask));
+    counts[static_cast<int>(actions[mask])]++;
   }
   std::printf("\nAction distribution over all %u evidence combinations:\n",
               total);
@@ -60,6 +80,37 @@ void report() {
     std::printf("  %-32s %zu\n",
                 uav_action_name(static_cast<UavAction>(a)).c_str(), counts[a]);
   }
+  // The counts the string-keyed reference evaluator gives over the same
+  // sweep (test_conserts checks the two agree mask by mask).
+  const std::size_t reference[5] = {16, 40, 55, 37, 108};
+  const bool counts_ok = std::equal(counts, counts + 5, reference);
+  std::printf("  %-58s %s\n",
+              "counts equal the reference evaluator's (16/40/55/37/108):",
+              checks.check(counts_ok));
+
+  // Monotone degradation: losing one evidence flag, or stepping the
+  // reliability level down (High > Medium > Low > none), never yields a
+  // stronger action. UavAction is ordered strongest to weakest.
+  bool monotone = true;
+  const unsigned rel_order[4] = {1, 2, 3, 0};  // selector values, best first
+  for (unsigned mask = 0; mask < total; ++mask) {
+    for (unsigned bit = 0; bit < 6; ++bit) {
+      if ((mask & (1u << bit)) != 0 &&
+          actions[mask & ~(1u << bit)] < actions[mask]) {
+        monotone = false;
+      }
+    }
+    const unsigned flags = mask & 63u;
+    for (int r = 0; r + 1 < 4; ++r) {
+      if (actions[flags | (rel_order[r + 1] << 6)] <
+          actions[flags | (rel_order[r] << 6)]) {
+        monotone = false;
+      }
+    }
+  }
+  std::printf("  %-58s %s\n",
+              "lattice degrades monotonically in every evidence flag:",
+              checks.check(monotone));
 
   // Representative rows of the decision table.
   struct Row {
@@ -96,38 +147,40 @@ void report() {
   }
   std::printf("\n%-36s %s\n", "situation", "UAV ConSert action");
   for (const auto& row : rows) {
-    EvaluationContext ctx;
-    apply_evidence(ctx, "uav1", row.e);
-    const auto eval = net.evaluate(ctx);
     std::printf("%-36s %s\n", row.description,
-                uav_action_name(uav_action(eval, "uav1")).c_str());
+                uav_action_name(uav.action(row.e)).c_str());
   }
 
   // Mission decider over a degrading 3-UAV fleet.
+  const MissionDecision planned = decide_mission(
+      {UavAction::kContinue, UavAction::kContinue, UavAction::kContinueExtended});
+  const MissionDecision redistributed = decide_mission(
+      {UavAction::kEmergencyLand, UavAction::kContinue,
+       UavAction::kContinueExtended});
+  const MissionDecision incomplete = decide_mission(
+      {UavAction::kEmergencyLand, UavAction::kContinue, UavAction::kContinue});
   std::printf("\nMission decider (3 UAVs):\n");
   std::printf("  all continue              -> %s\n",
-              mission_decision_name(decide_mission(
-                  {UavAction::kContinue, UavAction::kContinue,
-                   UavAction::kContinueExtended})).c_str());
+              mission_decision_name(planned).c_str());
   std::printf("  one lands, taker present  -> %s\n",
-              mission_decision_name(decide_mission(
-                  {UavAction::kEmergencyLand, UavAction::kContinue,
-                   UavAction::kContinueExtended})).c_str());
-  std::printf("  one lands, no taker       -> %s\n\n",
-              mission_decision_name(decide_mission(
-                  {UavAction::kEmergencyLand, UavAction::kContinue,
-                   UavAction::kContinue})).c_str());
+              mission_decision_name(redistributed).c_str());
+  std::printf("  one lands, no taker       -> %s\n",
+              mission_decision_name(incomplete).c_str());
+  std::printf("  %-58s %s\n\n", "decider gives its three outcomes:",
+              checks.check(planned == MissionDecision::kCompleteAsPlanned &&
+                           redistributed == MissionDecision::kRedistributeTasks &&
+                           incomplete == MissionDecision::kCannotComplete));
+  return checks.failed();
 }
 
 void BM_SingleUavEvaluation(benchmark::State& state) {
-  ConSertNetwork net;
-  add_uav_conserts(net, "uav1");
-  EvaluationContext ctx;
+  CompiledUav uav;
   UavEvidence e;
   e.gps_quality_good = e.no_security_attack = e.reliability_high = true;
-  apply_evidence(ctx, "uav1", e);
+  write_evidence(uav.compiled, uav.slots, e);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.evaluate(ctx));
+    uav.compiled.evaluate();
+    benchmark::DoNotOptimize(uav.compiled.best(uav.slots.uav_consert));
   }
 }
 BENCHMARK(BM_SingleUavEvaluation);
@@ -135,16 +188,20 @@ BENCHMARK(BM_SingleUavEvaluation);
 void BM_FleetEvaluation(benchmark::State& state) {
   const auto n_uavs = static_cast<std::size_t>(state.range(0));
   ConSertNetwork net;
-  EvaluationContext ctx;
+  std::vector<std::string> names;
   for (std::size_t i = 0; i < n_uavs; ++i) {
-    const std::string name = "uav" + std::to_string(i);
-    add_uav_conserts(net, name);
-    UavEvidence e;
-    e.gps_quality_good = e.no_security_attack = e.reliability_high = true;
-    apply_evidence(ctx, name, e);
+    names.push_back("uav" + std::to_string(i));
+    add_uav_conserts(net, names.back());
+  }
+  CompiledNetwork compiled(net);
+  UavEvidence e;
+  e.gps_quality_good = e.no_security_attack = e.reliability_high = true;
+  for (const auto& name : names) {
+    write_evidence(compiled, uav_slots(compiled, name), e);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.evaluate(ctx));
+    compiled.evaluate();
+    benchmark::DoNotOptimize(compiled.best(0));
   }
   state.SetComplexityN(static_cast<long>(n_uavs));
 }
@@ -185,6 +242,6 @@ BENCHMARK(BM_ConsertTick3Uav);
 }  // namespace
 
 int main(int argc, char** argv) {
-  report();
-  return sesame::bench::run_main(argc, argv);
+  const int failures = report();
+  return sesame::bench::run_main(argc, argv, failures);
 }

@@ -5,43 +5,6 @@
 
 namespace sesame::conserts {
 
-void EvaluationContext::set_evidence(const std::string& name, bool value) {
-  evidence_[name] = value;
-}
-
-bool EvaluationContext::evidence(const std::string& name) const {
-  const auto it = evidence_.find(name);
-  return it != evidence_.end() && it->second;
-}
-
-void EvaluationContext::grant(const std::string& consert,
-                              const std::string& guarantee) {
-  grants_.insert({consert, guarantee});
-}
-
-bool EvaluationContext::granted(const std::string& consert,
-                                const std::string& guarantee) const {
-  return grants_.count({consert, guarantee}) > 0;
-}
-
-void EvaluationContext::clear_grants() { grants_.clear(); }
-
-bool Condition::evaluate(const EvaluationContext& ctx) const {
-  switch (kind_) {
-    case Kind::kEvidence: return ctx.evidence(name_);
-    case Kind::kDemand: return ctx.granted(name_, guarantee_);
-    case Kind::kConstant: return value_;
-    case Kind::kAllOf:
-      return std::all_of(children_.begin(), children_.end(),
-                         [&](const auto& c) { return c->evaluate(ctx); });
-    case Kind::kAnyOf:
-      return std::any_of(children_.begin(), children_.end(),
-                         [&](const auto& c) { return c->evaluate(ctx); });
-    case Kind::kNot: return !children_.front()->evaluate(ctx);
-  }
-  return false;
-}
-
 void Condition::collect_evidence(std::set<std::string>& out) const {
   if (kind_ == Kind::kEvidence) out.insert(name_);
   for (const auto& c : children_) c->collect_evidence(out);
@@ -107,62 +70,11 @@ bool ConSert::has_guarantee(const std::string& name) const {
                      [&](const Guarantee& g) { return g.name == name; });
 }
 
-std::vector<std::string> ConSert::satisfied(const EvaluationContext& ctx) const {
-  std::vector<std::string> out;
-  for (const auto& g : guarantees_) {
-    if (g.condition->evaluate(ctx)) out.push_back(g.name);
-  }
-  return out;
-}
-
-std::optional<std::string> ConSert::best(const EvaluationContext& ctx) const {
-  const Guarantee* best_g = nullptr;
-  for (const auto& g : guarantees_) {
-    if (!g.condition->evaluate(ctx)) continue;
-    if (!best_g || g.rank < best_g->rank) best_g = &g;
-  }
-  if (!best_g) return std::nullopt;
-  return best_g->name;
-}
-
-GuaranteeExplanation explain_guarantee(const ConSert& consert,
-                                       const std::string& guarantee,
-                                       const EvaluationContext& ctx) {
-  const Guarantee* target = nullptr;
-  for (const auto& g : consert.guarantees()) {
-    if (g.name == guarantee) {
-      target = &g;
-      break;
-    }
-  }
-  if (!target) {
-    throw std::invalid_argument("explain_guarantee: unknown guarantee " +
-                                guarantee + " of " + consert.name());
-  }
-  GuaranteeExplanation out;
-  out.consert = consert.name();
-  out.guarantee = guarantee;
-  out.satisfied = target->condition->evaluate(ctx);
-
-  std::set<std::string> evidence;
-  target->condition->collect_evidence(evidence);
-  for (const auto& e : evidence) {
-    if (!ctx.evidence(e)) out.missing_evidence.push_back(e);
-  }
-  std::set<std::pair<std::string, std::string>> demands;
-  target->condition->collect_demands(demands);
-  for (const auto& [c, g] : demands) {
-    if (!ctx.granted(c, g)) out.missing_demands.push_back({c, g});
-  }
-  return out;
-}
-
 void ConSertNetwork::add(ConSert consert) {
   const std::string name = consert.name();
   if (!conserts_.emplace(name, std::move(consert)).second) {
     throw std::invalid_argument("ConSertNetwork::add: duplicate " + name);
   }
-  order_dirty_ = true;
 }
 
 bool ConSertNetwork::contains(const std::string& name) const {
@@ -187,7 +99,7 @@ const ConSert& ConSertNetwork::at(const std::string& name) const {
   return it->second;
 }
 
-std::vector<std::string> ConSertNetwork::topological_order() const {
+std::vector<std::string> ConSertNetwork::evaluation_order() const {
   // Kahn's algorithm over the demand graph (dependencies first).
   std::map<std::string, std::set<std::string>> deps;
   for (const auto& [name, consert] : conserts_) {
@@ -223,31 +135,6 @@ std::vector<std::string> ConSertNetwork::topological_order() const {
     }
   }
   return order;
-}
-
-const std::vector<std::string>& ConSertNetwork::evaluation_order() const {
-  if (order_dirty_) {
-    order_cache_ = topological_order();
-    order_dirty_ = false;
-  }
-  return order_cache_;
-}
-
-NetworkEvaluation ConSertNetwork::evaluate(EvaluationContext& ctx) const {
-  ctx.clear_grants();
-  NetworkEvaluation result;
-  result.order = evaluation_order();
-  for (const auto& name : result.order) {
-    const ConSert& c = conserts_.at(name);
-    for (const auto& g : c.satisfied(ctx)) {
-      ctx.grant(name, g);
-      result.grants.insert({name, g});
-    }
-    if (const auto b = c.best(ctx); b.has_value()) {
-      result.best[name] = *b;
-    }
-  }
-  return result;
 }
 
 namespace {
@@ -295,16 +182,16 @@ CompiledNetwork::CompiledNetwork(const ConSertNetwork& network)
 
 void CompiledNetwork::emit(const Condition& c) {
   using Kind = Condition::Kind;
-  switch (c.kind_) {
+  switch (c.kind()) {
     case Kind::kEvidence:
       program_.push_back(
           {Op::kEvidence,
-           static_cast<std::uint32_t>(index_in(evidence_names_, c.name_))});
+           static_cast<std::uint32_t>(index_in(evidence_names_, c.name()))});
       return;
     case Kind::kDemand: {
       // The demanded ConSert exists (evaluation_order() checked it); a
       // guarantee it does not offer is never granted.
-      const std::size_t g = find_guarantee(consert_id(c.name_), c.guarantee_);
+      const std::size_t g = find_guarantee(consert_id(c.name()), c.guarantee());
       if (g == kNone) {
         program_.push_back({Op::kConstant, 0});
       } else {
@@ -313,17 +200,17 @@ void CompiledNetwork::emit(const Condition& c) {
       return;
     }
     case Kind::kConstant:
-      program_.push_back({Op::kConstant, c.value_ ? 1u : 0u});
+      program_.push_back({Op::kConstant, c.value() ? 1u : 0u});
       return;
     case Kind::kAllOf:
     case Kind::kAnyOf:
     case Kind::kNot:
-      for (const auto& child : c.children_) emit(*child);
+      for (const auto& child : c.children()) emit(*child);
       program_.push_back(
-          {c.kind_ == Kind::kAllOf   ? Op::kAll
-           : c.kind_ == Kind::kAnyOf ? Op::kAny
-                                     : Op::kNot,
-           static_cast<std::uint32_t>(c.children_.size())});
+          {c.kind() == Kind::kAllOf   ? Op::kAll
+           : c.kind() == Kind::kAnyOf ? Op::kAny
+                                      : Op::kNot,
+           static_cast<std::uint32_t>(c.children().size())});
       return;
   }
 }

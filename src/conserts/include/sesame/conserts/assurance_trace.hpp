@@ -26,8 +26,8 @@ struct GuaranteeTransition {
 class AssuranceTrace {
  public:
   /// Compiles the network, which must be fully built: later add()s are not
-  /// seen. Throws like ConSertNetwork::evaluate on cycles or unknown
-  /// demands.
+  /// seen. Throws like ConSertNetwork::evaluation_order on cycles or
+  /// unknown demands.
   explicit AssuranceTrace(const ConSertNetwork& network);
 
   /// The compiled network: set evidence here before evaluate(), read

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,33 +26,24 @@ namespace sesame::conserts {
 class Condition;
 using ConditionPtr = std::shared_ptr<const Condition>;
 
-/// Context a condition tree is evaluated against: runtime-evidence values
-/// plus the guarantees currently provided by already-evaluated ConSerts.
-/// String-keyed: it serves ConSertNetwork::evaluate (the reference the
-/// compiled network is tested against), explain_guarantee and design-time
-/// tools; the runtime tick uses CompiledNetwork.
-class EvaluationContext {
- public:
-  /// Sets a runtime-evidence value (unset evidence evaluates to false).
-  void set_evidence(const std::string& name, bool value);
-  bool evidence(const std::string& name) const;
-
-  /// Records that `consert` currently provides `guarantee`.
-  void grant(const std::string& consert, const std::string& guarantee);
-  bool granted(const std::string& consert, const std::string& guarantee) const;
-
-  void clear_grants();
-
- private:
-  std::map<std::string, bool> evidence_;
-  std::set<std::pair<std::string, std::string>> grants_;
-};
-
 /// Boolean condition tree over runtime evidence and demands. Immutable
-/// once built; ConSerts share subtrees through ConditionPtr.
+/// once built; ConSerts share subtrees through ConditionPtr. The accessors
+/// are a read-only view of the tree for compilers and exporters.
 class Condition {
  public:
-  bool evaluate(const EvaluationContext& ctx) const;
+  enum class Kind { kEvidence, kDemand, kConstant, kAllOf, kAnyOf, kNot };
+
+  Kind kind() const noexcept { return kind_; }
+  /// Evidence name (kEvidence) or demanded ConSert (kDemand).
+  const std::string& name() const noexcept { return name_; }
+  /// Demanded guarantee (kDemand).
+  const std::string& guarantee() const noexcept { return guarantee_; }
+  /// Constant value (kConstant).
+  bool value() const noexcept { return value_; }
+  /// Operands of a gate (kAllOf/kAnyOf: one or more; kNot: exactly one).
+  const std::vector<ConditionPtr>& children() const noexcept {
+    return children_;
+  }
 
   /// Names of runtime evidence referenced beneath this node.
   void collect_evidence(std::set<std::string>& out) const;
@@ -72,7 +62,6 @@ class Condition {
   static ConditionPtr negate(ConditionPtr child);
 
  private:
-  enum class Kind { kEvidence, kDemand, kConstant, kAllOf, kAnyOf, kNot };
   Kind kind_;
   std::string name_;       ///< evidence name, or the demanded ConSert
   std::string guarantee_;  ///< demanded guarantee
@@ -87,7 +76,6 @@ class Condition {
         value_(value),
         children_(std::move(children)) {}
   static ConditionPtr gate(Kind kind, std::vector<ConditionPtr> children);
-  friend class CompiledNetwork;
 };
 
 /// A conditional guarantee. Lower `rank` = stronger/preferred guarantee;
@@ -114,47 +102,10 @@ class ConSert {
   }
   bool has_guarantee(const std::string& name) const;
 
-  /// Evaluates all guarantees against the context; returns the satisfied
-  /// guarantee names (the network grants all of them — a stronger
-  /// guarantee subsumes weaker ones only if modelled so).
-  std::vector<std::string> satisfied(const EvaluationContext& ctx) const;
-
-  /// The best (lowest-rank) satisfied guarantee, if any.
-  std::optional<std::string> best(const EvaluationContext& ctx) const;
-
  private:
   std::string name_;
   std::vector<Guarantee> guarantees_;
 };
-
-/// Result of evaluating a network.
-struct NetworkEvaluation {
-  /// Every granted (consert, guarantee) pair.
-  std::set<std::pair<std::string, std::string>> grants;
-  /// Best guarantee per ConSert (absent = only the implicit default).
-  std::map<std::string, std::string> best;
-  /// Evaluation order used (for diagnostics).
-  std::vector<std::string> order;
-};
-
-/// Why a guarantee is currently not provided: the referenced runtime
-/// evidence that evaluates false and the demands that are not granted.
-/// For monotone (negation-free) conditions — all the Fig. 1 models — the
-/// guarantee is satisfiable exactly when both lists are empty.
-struct GuaranteeExplanation {
-  std::string consert;
-  std::string guarantee;
-  bool satisfied = false;
-  std::vector<std::string> missing_evidence;
-  std::vector<std::pair<std::string, std::string>> missing_demands;
-};
-
-/// Explains one guarantee of one ConSert against a context (typically the
-/// context after a network evaluation, so grants are populated). Throws
-/// std::invalid_argument when the guarantee does not exist.
-GuaranteeExplanation explain_guarantee(const ConSert& consert,
-                                       const std::string& guarantee,
-                                       const EvaluationContext& ctx);
 
 /// A hierarchical network of ConSerts evaluated bottom-up.
 class ConSertNetwork {
@@ -169,25 +120,12 @@ class ConSertNetwork {
   /// Names of all ConSerts in the network (sorted).
   std::vector<std::string> names() const;
 
-  /// Evaluates the whole network against the evidence in `ctx` (grants in
-  /// `ctx` are cleared first). Throws std::runtime_error on demand cycles
-  /// or demands on unknown ConSerts. The string-keyed reference
-  /// evaluation; CompiledNetwork gives the same results by index.
-  NetworkEvaluation evaluate(EvaluationContext& ctx) const;
-
-  /// Topological (dependencies-first) evaluation order. Computed on first
-  /// use and cached until the next add(); evaluate() uses this, so the
-  /// Kahn's-algorithm pass runs once per network shape instead of once per
-  /// evaluation. Throws like evaluate() on cycles or unknown demands.
-  const std::vector<std::string>& evaluation_order() const;
+  /// Topological (dependencies-first) evaluation order. Throws
+  /// std::runtime_error on demand cycles or demands on unknown ConSerts.
+  std::vector<std::string> evaluation_order() const;
 
  private:
   std::map<std::string, ConSert> conserts_;
-  // Cached evaluation_order(); mutable because caching is not observable.
-  mutable std::vector<std::string> order_cache_;
-  mutable bool order_dirty_ = true;
-
-  std::vector<std::string> topological_order() const;
 };
 
 /// A ConSertNetwork compiled once into index form, for the runtime tick.
@@ -197,16 +135,19 @@ class ConSertNetwork {
 /// and each guarantee's condition tree is flattened to a postfix program
 /// over the evidence and grant bytes. evaluate() runs the programs in
 /// evaluation (topological) order into a granted flag per guarantee and a
-/// best-guarantee id per ConSert, with the same results as
-/// ConSertNetwork::evaluate over the same evidence. Names appear only at
-/// the edges: the lookups a caller resolves once, and the labels it needs
-/// for reports. Unset evidence is false.
+/// best-guarantee id per ConSert. A guarantee is granted when its
+/// condition holds over the evidence and the grants of the ConSerts it
+/// demands; the best guarantee is the granted one of lowest rank (first
+/// declared on a tie). Names appear only at the edges: the lookups a
+/// caller resolves once, and the labels it needs for reports. Unset
+/// evidence is false.
 class CompiledNetwork {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Compiles the network as it is now (later add()s are not seen). Throws
-  /// like ConSertNetwork::evaluate on demand cycles or unknown ConSerts.
+  /// like ConSertNetwork::evaluation_order on demand cycles or unknown
+  /// ConSerts.
   explicit CompiledNetwork(const ConSertNetwork& network);
 
   /// Slot of a referenced evidence name; throws std::out_of_range when no

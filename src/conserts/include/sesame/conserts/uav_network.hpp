@@ -50,10 +50,6 @@ struct UavEvidence {
 /// "<uav>/<field>", e.g. "uav1/gps_quality_good".
 std::string evidence_key(const std::string& uav, const std::string& field);
 
-/// Writes all evidence flags of one UAV into the context.
-void apply_evidence(EvaluationContext& ctx, const std::string& uav,
-                    const UavEvidence& evidence);
-
 /// Number of evidence flags in UavEvidence.
 inline constexpr std::size_t kUavEvidenceFields = 9;
 
@@ -99,9 +95,6 @@ enum class UavAction {
 };
 
 std::string uav_action_name(UavAction a);
-
-/// Maps a network evaluation onto the action for one UAV.
-UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav);
 
 /// One UAV's evidence slots, top-level ConSert and action guarantees in a
 /// compiled network, resolved once so that a runtime tick writes evidence

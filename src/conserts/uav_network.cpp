@@ -1,7 +1,6 @@
 #include "sesame/conserts/uav_network.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 namespace sesame::conserts {
@@ -37,13 +36,6 @@ const char* const kActionGuarantees[] = {
     g::kContinueExtended, g::kContinue, g::kHold, g::kReturnToBase};
 
 }  // namespace
-
-void apply_evidence(EvaluationContext& ctx, const std::string& uav,
-                    const UavEvidence& e) {
-  for (const auto& f : kEvidenceFields) {
-    ctx.set_evidence(evidence_key(uav, f.name), e.*f.flag);
-  }
-}
 
 UavSlots uav_slots(const CompiledNetwork& network, const std::string& uav) {
   UavSlots s;
@@ -170,16 +162,6 @@ std::string uav_action_name(UavAction a) {
     case UavAction::kEmergencyLand: return "EmergencyLand";
   }
   return "unknown";
-}
-
-UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav) {
-  const auto it = eval.best.find(uav_consert_names(uav).uav);
-  if (it == eval.best.end()) return UavAction::kEmergencyLand;
-  const std::string& best = it->second;
-  for (std::size_t k = 0; k < std::size(kActionGuarantees); ++k) {
-    if (best == kActionGuarantees[k]) return static_cast<UavAction>(k);
-  }
-  throw std::logic_error("uav_action: unexpected guarantee " + best);
 }
 
 UavAction uav_action(const CompiledNetwork& network, const UavSlots& slots) {

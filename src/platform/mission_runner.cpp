@@ -9,8 +9,7 @@
 #include <unordered_map>
 
 #include "sesame/geo/geodesy.hpp"
-#include "sesame/mathx/stats.hpp"
-#include "sesame/safeml/distances.hpp"
+#include "sesame/safeml/calibration.hpp"
 #include "sesame/security/attack_tree.hpp"
 
 namespace sesame::platform {
@@ -347,7 +346,6 @@ void MissionRunner::setup_sesame() {
   // variation of clean flight and a genuine altitude-regime shift. The
   // scale is calibrated below, so the measure's units cancel out.
   config_.eddi.safeml.measure = safeml::Measure::kWasserstein;
-  config_.eddi.safeml.full_scale = 1e-9;  // floor; calibration raises it
   // Confidence bands for the calibrated scale: clean single-altitude
   // windows sit ~p95 (-> confidence 0.6, classified High); the
   // high-altitude regime lands several band-widths out (-> near 0).
@@ -359,34 +357,23 @@ void MissionRunner::setup_sesame() {
   // the no-drift self-distance is nonzero. Size full_scale from the p95
   // self-distance of single-altitude windows inside the band, exactly as
   // a deployment would calibrate against held-out validation flights.
-  {
-    const auto& detector = mission_->detector();
-    // The reference sample is fixed across trials: sort it once and use
-    // the sorted-input distance fast path per trial window.
-    std::vector<std::vector<double>> reference_sorted = reference;
-    for (auto& r : reference_sorted) std::sort(r.begin(), r.end());
-    std::vector<double> self_distances;
-    for (int trial = 0; trial < 60; ++trial) {
-      const double alt = world_->rng().uniform(
-          0.8 * config_.descend_altitude_m, 1.4 * config_.descend_altitude_m);
-      std::vector<std::vector<double>> window(reference.size());
-      for (std::size_t i = 0; i < config_.eddi.safeml.window; ++i) {
-        const auto v = detector.frame_features(alt, world_->rng()).as_vector();
-        for (std::size_t k = 0; k < v.size(); ++k) window[k].push_back(v[k]);
-      }
-      double total = 0.0;
-      for (std::size_t k = 0; k < reference.size(); ++k) {
-        std::sort(window[k].begin(), window[k].end());
-        total += safeml::distance_sorted(config_.eddi.safeml.measure,
-                                         reference_sorted[k], window[k]);
-      }
-      self_distances.push_back(total / static_cast<double>(reference.size()));
-    }
-    const double p95 = mathx::quantile(self_distances, 0.95);
-    config_.eddi.safeml.full_scale =
-        std::max(config_.eddi.safeml.full_scale,
-                 p95 / (1.0 - config_.eddi.safeml.high_threshold));
-  }
+  config_.eddi.safeml =
+      safeml::calibrate_monitor(
+          config_.eddi.safeml, reference, 60,
+          [this](std::vector<std::vector<double>>& window) {
+            const double alt =
+                world_->rng().uniform(0.8 * config_.descend_altitude_m,
+                                      1.4 * config_.descend_altitude_m);
+            for (std::size_t i = 0; i < config_.eddi.safeml.window; ++i) {
+              const auto v = mission_->detector()
+                                 .frame_features(alt, world_->rng())
+                                 .as_vector();
+              for (std::size_t k = 0; k < v.size(); ++k) {
+                window[k].push_back(v[k]);
+              }
+            }
+          })
+          .config;
 
   // DeepKnowledge design-time assets: a small detector-verifier MLP trained
   // on low-altitude detection features, analyzed against the high-altitude

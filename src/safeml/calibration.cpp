@@ -1,5 +1,6 @@
 #include "sesame/safeml/calibration.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sesame/mathx/stats.hpp"
@@ -8,37 +9,46 @@
 namespace sesame::safeml {
 
 CalibrationReport calibrate_monitor(
-    Measure measure, const std::vector<std::vector<double>>& reference,
-    std::size_t window, mathx::Rng& rng, int trials, double high_threshold,
-    double low_threshold) {
+    const MonitorConfig& base,
+    const std::vector<std::vector<double>>& reference, int trials,
+    const WindowSampler& sample) {
   if (reference.empty()) {
     throw std::invalid_argument("calibrate_monitor: no reference features");
   }
   for (const auto& f : reference) {
-    if (f.size() < window) {
+    if (f.size() < base.window) {
       throw std::invalid_argument(
           "calibrate_monitor: reference smaller than window");
     }
   }
-  if (window < 2) throw std::invalid_argument("calibrate_monitor: window < 2");
+  if (base.window < 2) {
+    throw std::invalid_argument("calibrate_monitor: window < 2");
+  }
   if (trials < 10) throw std::invalid_argument("calibrate_monitor: trials < 10");
-  if (!(0.0 < low_threshold && low_threshold < high_threshold &&
-        high_threshold < 1.0)) {
+  if (!(0.0 < base.low_threshold && base.low_threshold < base.high_threshold &&
+        base.high_threshold < 1.0)) {
     throw std::invalid_argument("calibrate_monitor: bad thresholds");
   }
 
-  // Bootstrap self-distances: window resampled from the reference vs the
-  // reference itself, aggregated across features as the monitor does.
+  // The reference is fixed across trials: sort it once and use the
+  // sorted-input distance per trial window, aggregated across features as
+  // the monitor does.
+  std::vector<std::vector<double>> reference_sorted = reference;
+  for (auto& r : reference_sorted) std::sort(r.begin(), r.end());
   std::vector<double> self_distances;
   self_distances.reserve(static_cast<std::size_t>(trials));
-  std::vector<double> win(window);
+  std::vector<std::vector<double>> window(reference.size());
   for (int t = 0; t < trials; ++t) {
+    for (auto& w : window) w.clear();
+    sample(window);
     double total = 0.0;
-    for (const auto& feature : reference) {
-      for (std::size_t i = 0; i < window; ++i) {
-        win[i] = feature[rng.uniform_index(feature.size())];
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      if (window[k].size() != base.window) {
+        throw std::invalid_argument(
+            "calibrate_monitor: sampler filled a window of the wrong size");
       }
-      total += distance(measure, feature, win);
+      std::sort(window[k].begin(), window[k].end());
+      total += distance_sorted(base.measure, reference_sorted[k], window[k]);
     }
     self_distances.push_back(total / static_cast<double>(reference.size()));
   }
@@ -46,17 +56,11 @@ CalibrationReport calibrate_monitor(
   CalibrationReport report;
   report.self_distance_p50 = mathx::quantile(self_distances, 0.50);
   report.self_distance_p95 = mathx::quantile(self_distances, 0.95);
-
-  MonitorConfig cfg;
-  cfg.measure = measure;
-  cfg.window = window;
-  cfg.high_threshold = high_threshold;
-  cfg.low_threshold = low_threshold;
+  report.config = base;
   // confidence(d) = 1 - d / full_scale; place the p95 self-distance at the
-  // High boundary so clean windows classify High ~95% of the time.
-  const double p95 = std::max(report.self_distance_p95, 1e-9);
-  cfg.full_scale = p95 / (1.0 - high_threshold);
-  report.config = cfg;
+  // High boundary so in-domain windows classify High ~95% of the time.
+  report.config.full_scale =
+      std::max(1e-9, report.self_distance_p95 / (1.0 - base.high_threshold));
   return report;
 }
 

@@ -116,10 +116,4 @@ class AttackTree {
 /// plus a GPS-spoofing branch (CAPEC-627).
 AttackTree make_spoofing_attack_tree();
 
-/// Denial-of-navigation attack tree: GPS jamming (CAPEC-601 obstruction)
-/// or command-link flooding (CAPEC-125) deny the fleet its navigation or
-/// C2 capability. The paper notes each Security EDDI is tailored to one
-/// attack tree; deployments run one EDDI per tree side by side.
-AttackTree make_jamming_attack_tree();
-
 }  // namespace sesame::security

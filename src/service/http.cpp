@@ -94,10 +94,20 @@ void HttpConnection::fail(int status, const std::string& message) {
 std::optional<HttpRequest> HttpConnection::feed(const char* data,
                                                 std::size_t n) {
   if (failed_) return std::nullopt;
-  buffer_.append(data, n);
+  // One request per connection, and no request spans more than a full
+  // head plus a full body: bytes past that are never parsed, so they are
+  // never buffered.
+  buffer_.append(data,
+                 std::min(n, kMaxHeadBytes + kMaxBodyBytes - buffer_.size()));
+  // The head counts its blank-line terminator. The cap is decided on the
+  // bytes seen so far, so how the input was split never changes it.
   const std::size_t head_end = buffer_.find("\r\n\r\n");
   if (head_end == std::string::npos) {
-    if (buffer_.size() > kMaxHeadBytes) fail(431, "request head too large");
+    if (buffer_.size() >= kMaxHeadBytes) fail(431, "request head too large");
+    return std::nullopt;
+  }
+  if (head_end + 4 > kMaxHeadBytes) {
+    fail(431, "request head too large");
     return std::nullopt;
   }
 

@@ -50,8 +50,10 @@ std::string serialize_response(const HttpResponse& response);
 /// more bytes are needed. A bad request sets failed() as soon as its head
 /// is complete; error() is then the response owed before closing: 400 for
 /// a malformed head or a Content-Length that is not a plain in-range
-/// decimal, 413 for a body over kMaxBodyBytes, 431 for a head over
-/// kMaxHeadBytes. One request per connection (Connection: close semantics).
+/// decimal, 413 for a body over kMaxBodyBytes, 431 for a head (with its
+/// blank-line terminator) over kMaxHeadBytes. The outcome does not depend
+/// on how the bytes were split across feed() calls. One request per
+/// connection (Connection: close semantics).
 class HttpConnection {
  public:
   static constexpr std::size_t kMaxHeadBytes = 64 * 1024;
@@ -59,6 +61,9 @@ class HttpConnection {
 
   std::optional<HttpRequest> feed(const char* data, std::size_t n);
   bool failed() const noexcept { return failed_; }
+  /// Bytes held for the request; never more than kMaxHeadBytes +
+  /// kMaxBodyBytes.
+  std::size_t buffered() const noexcept { return buffer_.size(); }
   const HttpResponse& error() const noexcept { return error_; }
 
  private:

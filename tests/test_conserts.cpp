@@ -1,7 +1,8 @@
 // Tests for the ConSerts engine: condition algebra, guarantee selection,
 // network composition/topological evaluation, the paper's Fig. 1 UAV
-// network, the mission decider, and generated equivalence checks of the
-// compiled network against the string-keyed evaluate() oracle.
+// network and the mission decider, all through CompiledNetwork (the path
+// the mission runs), plus generated equivalence checks of the compiled
+// network against the string-keyed oracle in tests/support.
 #include <map>
 #include <set>
 #include <string>
@@ -13,41 +14,66 @@
 #include "sesame/conserts/consert.hpp"
 #include "sesame/conserts/uav_network.hpp"
 #include "sesame/mathx/rng.hpp"
+#include "sesame/testing/consert_oracle.hpp"
 
 namespace cs = sesame::conserts;
 namespace g = sesame::conserts::guarantees;
 
+namespace {
+
+/// Whether `condition` holds under `evidence` (unlisted evidence is
+/// false), as the only guarantee of a ConSert "c" compiled beside a ConSert
+/// "nav" that grants "accurate" exactly when evidence "fix" holds.
+bool holds(cs::ConditionPtr condition,
+           const std::map<std::string, bool>& evidence) {
+  std::set<std::string> read{"fix"};
+  condition->collect_evidence(read);
+  cs::ConSertNetwork net;
+  cs::ConSert nav("nav");
+  nav.add_guarantee("accurate", 0, cs::Condition::evidence("fix"));
+  net.add(std::move(nav));
+  cs::ConSert c("c");
+  c.add_guarantee("g", 0, std::move(condition));
+  net.add(std::move(c));
+  cs::CompiledNetwork compiled(net);
+  for (const auto& [name, value] : evidence) {
+    if (read.count(name) != 0) {
+      compiled.set_evidence(compiled.evidence_slot(name), value);
+    }
+  }
+  compiled.evaluate();
+  const std::size_t id = compiled.consert_id("c");
+  return compiled.granted(compiled.guarantee_id(id, "g"));
+}
+
+}  // namespace
+
 TEST(Condition, EvidenceLeaf) {
-  cs::EvaluationContext ctx;
   auto c = cs::Condition::evidence("x");
-  EXPECT_FALSE(c->evaluate(ctx));  // unset evidence is false
-  ctx.set_evidence("x", true);
-  EXPECT_TRUE(c->evaluate(ctx));
-  ctx.set_evidence("x", false);
-  EXPECT_FALSE(c->evaluate(ctx));
+  EXPECT_FALSE(holds(c, {}));  // unset evidence is false
+  EXPECT_TRUE(holds(c, {{"x", true}}));
+  EXPECT_FALSE(holds(c, {{"x", false}}));
 }
 
 TEST(Condition, DemandLeaf) {
-  cs::EvaluationContext ctx;
   auto c = cs::Condition::demand("nav", "accurate");
-  EXPECT_FALSE(c->evaluate(ctx));
-  ctx.grant("nav", "accurate");
-  EXPECT_TRUE(c->evaluate(ctx));
-  ctx.clear_grants();
-  EXPECT_FALSE(c->evaluate(ctx));
+  EXPECT_FALSE(holds(c, {}));
+  EXPECT_TRUE(holds(c, {{"fix", true}}));
+  EXPECT_FALSE(holds(c, {{"fix", false}}));
+  // A guarantee the demanded ConSert does not offer is never granted.
+  EXPECT_FALSE(holds(cs::Condition::demand("nav", "exact"), {{"fix", true}}));
 }
 
 TEST(Condition, GatesAndConstants) {
-  cs::EvaluationContext ctx;
-  ctx.set_evidence("a", true);
-  ctx.set_evidence("b", false);
+  const std::map<std::string, bool> ev{{"a", true}, {"b", false}};
   auto a = cs::Condition::evidence("a");
   auto b = cs::Condition::evidence("b");
-  EXPECT_FALSE(cs::Condition::all_of({a, b})->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::any_of({a, b})->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::negate(b)->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::constant(true)->evaluate(ctx));
-  EXPECT_FALSE(cs::Condition::constant(false)->evaluate(ctx));
+  EXPECT_FALSE(holds(cs::Condition::all_of({a, b}), ev));
+  EXPECT_TRUE(holds(cs::Condition::any_of({a, b}), ev));
+  EXPECT_TRUE(holds(cs::Condition::negate(b), ev));
+  EXPECT_FALSE(holds(cs::Condition::negate(a), ev));
+  EXPECT_TRUE(holds(cs::Condition::constant(true), {}));
+  EXPECT_FALSE(holds(cs::Condition::constant(false), {}));
   EXPECT_THROW(cs::Condition::all_of({}), std::invalid_argument);
   EXPECT_THROW(cs::Condition::negate(nullptr), std::invalid_argument);
 }
@@ -67,22 +93,34 @@ TEST(Condition, CollectsReferences) {
 }
 
 TEST(ConSert, GuaranteeSelectionByRank) {
+  cs::ConSertNetwork net;
   cs::ConSert c("nav");
   c.add_guarantee("strong", 0, cs::Condition::evidence("good"));
   c.add_guarantee("weak", 5, cs::Condition::constant(true));
-  cs::EvaluationContext ctx;
-  EXPECT_EQ(c.best(ctx), "weak");
-  ctx.set_evidence("good", true);
-  EXPECT_EQ(c.best(ctx), "strong");
-  EXPECT_EQ(c.satisfied(ctx).size(), 2u);
+  net.add(std::move(c));
+  cs::CompiledNetwork compiled(net);
+  const std::size_t nav = compiled.consert_id("nav");
+  const std::size_t strong = compiled.guarantee_id(nav, "strong");
+  const std::size_t weak = compiled.guarantee_id(nav, "weak");
+  compiled.evaluate();
+  EXPECT_EQ(compiled.best(nav), weak);
+  compiled.set_evidence(compiled.evidence_slot("good"), true);
+  compiled.evaluate();
+  EXPECT_EQ(compiled.best(nav), strong);
+  EXPECT_TRUE(compiled.granted(strong));
+  EXPECT_TRUE(compiled.granted(weak));
 }
 
 TEST(ConSert, NoGuaranteeSatisfied) {
+  cs::ConSertNetwork net;
   cs::ConSert c("x");
   c.add_guarantee("g", 0, cs::Condition::evidence("never"));
-  cs::EvaluationContext ctx;
-  EXPECT_FALSE(c.best(ctx).has_value());
-  EXPECT_TRUE(c.satisfied(ctx).empty());
+  net.add(std::move(c));
+  cs::CompiledNetwork compiled(net);
+  compiled.evaluate();
+  const std::size_t x = compiled.consert_id("x");
+  EXPECT_EQ(compiled.best(x), cs::CompiledNetwork::kNone);
+  EXPECT_FALSE(compiled.granted(compiled.guarantee_id(x, "g")));
 }
 
 TEST(ConSert, Validation) {
@@ -98,22 +136,23 @@ TEST(ConSert, Validation) {
 
 TEST(ConSertNetwork, EvaluatesDependenciesFirst) {
   cs::ConSertNetwork net;
-  cs::ConSert leafc("leaf");
+  // Named so that name order and dependency order differ.
+  cs::ConSert leafc("z_leaf");
   leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
   net.add(std::move(leafc));
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
+  cs::ConSert top("a_top");
+  top.add_guarantee("safe", 0, cs::Condition::demand("z_leaf", "ok"));
   net.add(std::move(top));
+  EXPECT_EQ(net.evaluation_order(),
+            (std::vector<std::string>{"z_leaf", "a_top"}));
 
-  cs::EvaluationContext ctx;
-  ctx.set_evidence("sensor_ok", true);
-  const auto eval = net.evaluate(ctx);
-  EXPECT_TRUE(eval.grants.count({"leaf", "ok"}));
-  EXPECT_TRUE(eval.grants.count({"top", "safe"}));
-  EXPECT_EQ(eval.best.at("top"), "safe");
-  // Dependency order respected.
-  ASSERT_EQ(eval.order.size(), 2u);
-  EXPECT_EQ(eval.order[0], "leaf");
+  cs::CompiledNetwork compiled(net);
+  compiled.set_evidence(compiled.evidence_slot("sensor_ok"), true);
+  compiled.evaluate();
+  const std::size_t leaf = compiled.consert_id("z_leaf");
+  const std::size_t top_id = compiled.consert_id("a_top");
+  EXPECT_TRUE(compiled.granted(compiled.guarantee_id(leaf, "ok")));
+  EXPECT_EQ(compiled.best(top_id), compiled.guarantee_id(top_id, "safe"));
 }
 
 TEST(ConSertNetwork, UnknownDemandThrows) {
@@ -121,8 +160,7 @@ TEST(ConSertNetwork, UnknownDemandThrows) {
   cs::ConSert top("top");
   top.add_guarantee("g", 0, cs::Condition::demand("ghost", "x"));
   net.add(std::move(top));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(net.evaluate(ctx), std::runtime_error);
+  EXPECT_THROW(net.evaluation_order(), std::runtime_error);
 }
 
 TEST(ConSertNetwork, CycleDetection) {
@@ -132,8 +170,7 @@ TEST(ConSertNetwork, CycleDetection) {
   b.add_guarantee("gb", 0, cs::Condition::demand("a", "ga"));
   net.add(std::move(a));
   net.add(std::move(b));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(net.evaluate(ctx), std::runtime_error);
+  EXPECT_THROW(net.evaluation_order(), std::runtime_error);
 }
 
 TEST(ConSertNetwork, DuplicateNameRejected) {
@@ -150,10 +187,11 @@ namespace {
 cs::UavAction evaluate_uav(const cs::UavEvidence& e) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", e);
-  const auto eval = net.evaluate(ctx);
-  return cs::uav_action(eval, "u1");
+  cs::CompiledNetwork compiled(net);
+  const auto slots = cs::uav_slots(compiled, "u1");
+  cs::write_evidence(compiled, slots, e);
+  compiled.evaluate();
+  return cs::uav_action(compiled, slots);
 }
 
 cs::UavEvidence nominal_evidence() {
@@ -221,17 +259,20 @@ TEST(UavNetwork, ThreeUavNetworkEvaluates) {
     cs::add_uav_conserts(net, name);
   }
   EXPECT_EQ(net.size(), 18u);
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
+  cs::CompiledNetwork compiled(net);
+  const auto u1 = cs::uav_slots(compiled, "u1");
+  const auto u2 = cs::uav_slots(compiled, "u2");
+  const auto u3 = cs::uav_slots(compiled, "u3");
+  cs::write_evidence(compiled, u1, nominal_evidence());
   auto degraded = nominal_evidence();
   degraded.reliability_high = false;
   degraded.reliability_low = true;
-  cs::apply_evidence(ctx, "u2", degraded);
-  cs::apply_evidence(ctx, "u3", cs::UavEvidence{});
-  const auto eval = net.evaluate(ctx);
-  EXPECT_EQ(cs::uav_action(eval, "u1"), cs::UavAction::kContinueExtended);
-  EXPECT_EQ(cs::uav_action(eval, "u2"), cs::UavAction::kHold);
-  EXPECT_EQ(cs::uav_action(eval, "u3"), cs::UavAction::kEmergencyLand);
+  cs::write_evidence(compiled, u2, degraded);
+  cs::write_evidence(compiled, u3, cs::UavEvidence{});
+  compiled.evaluate();
+  EXPECT_EQ(cs::uav_action(compiled, u1), cs::UavAction::kContinueExtended);
+  EXPECT_EQ(cs::uav_action(compiled, u2), cs::UavAction::kHold);
+  EXPECT_EQ(cs::uav_action(compiled, u3), cs::UavAction::kEmergencyLand);
 }
 
 TEST(MissionDecider, AllContinuingCompletesAsPlanned) {
@@ -269,52 +310,6 @@ TEST(ActionNames, Distinct) {
   EXPECT_EQ(names.size(), 5u);
   EXPECT_EQ(cs::mission_decision_name(cs::MissionDecision::kRedistributeTasks),
             "RedistributeTasks");
-}
-
-TEST(ExplainGuarantee, ListsMissingEvidenceAndDemands) {
-  cs::ConSertNetwork net;
-  cs::add_uav_conserts(net, "u1");
-  auto e = nominal_evidence();
-  e.gps_quality_good = false;       // breaks the GPS localization guarantee
-  e.no_security_attack = false;
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", e);
-  net.evaluate(ctx);  // populate grants
-
-  const auto names = cs::uav_consert_names("u1");
-  const auto gps_expl = cs::explain_guarantee(
-      net.at(names.gps_localization), g::kGpsAccurate, ctx);
-  EXPECT_FALSE(gps_expl.satisfied);
-  ASSERT_EQ(gps_expl.missing_evidence.size(), 2u);
-  EXPECT_TRUE(gps_expl.missing_demands.empty());
-
-  // The navigation high-performance guarantee fails through its demand.
-  const auto nav_expl = cs::explain_guarantee(
-      net.at(names.navigation), g::kNavHighPerformance, ctx);
-  EXPECT_FALSE(nav_expl.satisfied);
-  ASSERT_EQ(nav_expl.missing_demands.size(), 1u);
-  EXPECT_EQ(nav_expl.missing_demands[0].first, names.gps_localization);
-}
-
-TEST(ExplainGuarantee, SatisfiedGuaranteeHasNothingMissing) {
-  cs::ConSertNetwork net;
-  cs::add_uav_conserts(net, "u1");
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
-  net.evaluate(ctx);
-  const auto names = cs::uav_consert_names("u1");
-  const auto expl = cs::explain_guarantee(net.at(names.uav),
-                                          g::kContinueExtended, ctx);
-  EXPECT_TRUE(expl.satisfied);
-  EXPECT_TRUE(expl.missing_evidence.empty());
-  EXPECT_TRUE(expl.missing_demands.empty());
-}
-
-TEST(ExplainGuarantee, UnknownGuaranteeThrows) {
-  cs::ConSert c("x");
-  c.add_guarantee("g", 0, cs::Condition::constant(true));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(cs::explain_guarantee(c, "nope", ctx), std::invalid_argument);
 }
 
 TEST(AssuranceTrace, RecordsGuaranteeTransitions) {
@@ -368,28 +363,9 @@ TEST(AssuranceTrace, LossOfAllGuaranteesRecordedAsEmpty) {
   EXPECT_EQ(trace.evaluations(), 0u);
 }
 
-TEST(ConSertNetwork, EvaluationOrderIsCachedAndInvalidatedByAdd) {
-  cs::ConSertNetwork net;
-  cs::ConSert leafc("leaf");
-  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
-  net.add(std::move(leafc));
-  const auto& order1 = net.evaluation_order();
-  ASSERT_EQ(order1.size(), 1u);
-  // Same object on repeated calls (cache, not a fresh vector).
-  EXPECT_EQ(&net.evaluation_order(), &order1);
-
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
-  net.add(std::move(top));
-  const auto& order2 = net.evaluation_order();
-  ASSERT_EQ(order2.size(), 2u);
-  EXPECT_EQ(order2[0], "leaf");
-  EXPECT_EQ(order2[1], "top");
-}
-
 // ---------------------------------------------------------------------------
-// The compiled network against the string-keyed ConSertNetwork::evaluate
-// oracle, on the Fig. 1 network and on generated networks.
+// The compiled network against the string-keyed oracle, on the Fig. 1
+// network and on generated networks.
 
 namespace {
 
@@ -467,7 +443,7 @@ TEST(CompiledNetwork, MatchesOracleOnEveryEvidenceMaskOfTheFig1Network) {
           cs::apply_evidence(ctx, uavs[i], e);
           cs::write_evidence(compiled, slots[i], e);
         }
-        const auto oracle = net.evaluate(ctx);
+        const auto oracle = cs::evaluate(net, ctx);
         compiled.evaluate();
         ASSERT_TRUE(matches_oracle(net, compiled, oracle))
             << n << " UAVs, uav " << swept + 1 << " mask " << mask;
@@ -556,7 +532,7 @@ TEST(CompiledNetwork, MatchesOracleOnGeneratedNetworks) {
         }
       }
       compiled.evaluate();
-      ASSERT_TRUE(matches_oracle(net, compiled, net.evaluate(ctx)))
+      ASSERT_TRUE(matches_oracle(net, compiled, cs::evaluate(net, ctx)))
           << "trial " << trial << " mask " << mask;
     }
   }
@@ -569,18 +545,22 @@ TEST(CompiledNetwork, RejectsCyclesAndUnknownDemandsLikeTheOracle) {
   b.add_guarantee("y", 0, cs::Condition::demand("a", "x"));
   cycle.add(std::move(a));
   cycle.add(std::move(b));
+  cs::EvaluationContext ctx;
+  EXPECT_THROW(cs::evaluate(cycle, ctx), std::runtime_error);
   EXPECT_THROW(cs::CompiledNetwork{cycle}, std::runtime_error);
 
   cs::ConSertNetwork self;
   cs::ConSert s("s");
   s.add_guarantee("x", 0, cs::Condition::negate(cs::Condition::demand("s", "x")));
   self.add(std::move(s));
+  EXPECT_THROW(cs::evaluate(self, ctx), std::runtime_error);
   EXPECT_THROW(cs::CompiledNetwork{self}, std::runtime_error);
 
   cs::ConSertNetwork unknown;
   cs::ConSert u("u");
   u.add_guarantee("x", 0, cs::Condition::demand("ghost", "y"));
   unknown.add(std::move(u));
+  EXPECT_THROW(cs::evaluate(unknown, ctx), std::runtime_error);
   EXPECT_THROW(cs::CompiledNetwork{unknown}, std::runtime_error);
 }
 
@@ -600,7 +580,7 @@ TEST(CompiledNetwork, NamesAreResolvedOnlyAtTheEdges) {
 
 TEST(AssuranceTrace, TransitionsMatchTheStringKeyedOracle) {
   // Three UAVs under seeded evidence that mostly repeats: the recorded
-  // transitions equal those implied by ConSertNetwork::evaluate, in
+  // transitions equal those implied by the oracle's evaluations, in
   // ConSert-name order per evaluation.
   cs::ConSertNetwork net;
   const std::vector<std::string> uavs{"uav1", "uav2", "uav3"};
@@ -624,7 +604,7 @@ TEST(AssuranceTrace, TransitionsMatchTheStringKeyedOracle) {
       cs::apply_evidence(ctx, uavs[i], e);
       cs::write_evidence(trace.network(), slots[i], e);
     }
-    const auto oracle = net.evaluate(ctx);
+    const auto oracle = cs::evaluate(net, ctx);
     trace.evaluate(t);
     ASSERT_TRUE(matches_oracle(net, trace.network(), oracle)) << "step " << step;
     for (const auto& name : net.names()) {

@@ -271,78 +271,6 @@ TEST(Analyzer, ReportFieldsWithinRanges) {
   }
 }
 
-#include "sesame/deepknowledge/test_selection.hpp"
-
-TEST(TestSelection, ValidatesArguments) {
-  mx::Rng rng(201);
-  dk::Mlp net({2, 4, 1}, rng);
-  std::vector<std::vector<double>> data;
-  make_dataset(rng, 50, 0.0, data, data);
-  std::vector<std::vector<double>> inputs, targets;
-  make_dataset(rng, 50, 0.0, inputs, targets);
-  dk::Analyzer an(net, inputs, inputs);
-  EXPECT_THROW(dk::select_tests(an, net, {}, 4), std::invalid_argument);
-  EXPECT_THROW(dk::select_tests(an, net, inputs, 0), std::invalid_argument);
-}
-
-TEST(TestSelection, GreedyRankingIsMonotone) {
-  mx::Rng rng(203);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 300, 0.0, train, targets);
-  dk::Mlp net({2, 8, 1}, rng);
-  for (int e = 0; e < 5; ++e) net.train_epoch(train, targets, 0.05, rng);
-  std::vector<std::vector<double>> shifted, _t;
-  make_dataset(rng, 300, 1.5, shifted, _t);
-  dk::Analyzer an(net, train, shifted);
-
-  std::vector<std::vector<double>> pool, _t2;
-  make_dataset(rng, 120, 0.5, pool, _t2);
-  const auto ranking = dk::select_tests(an, net, pool, 20);
-  ASSERT_FALSE(ranking.empty());
-  for (std::size_t i = 1; i < ranking.size(); ++i) {
-    // Greedy gains are non-increasing; cumulative coverage non-decreasing.
-    EXPECT_LE(ranking[i].new_buckets, ranking[i - 1].new_buckets);
-    EXPECT_GE(ranking[i].cumulative_coverage,
-              ranking[i - 1].cumulative_coverage);
-    EXPECT_GT(ranking[i].new_buckets, 0u);
-  }
-}
-
-TEST(TestSelection, SelectedSubsetBeatsRandomPrefix) {
-  mx::Rng rng(207);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 300, 0.0, train, targets);
-  dk::Mlp net({2, 8, 1}, rng);
-  std::vector<std::vector<double>> shifted, _t;
-  make_dataset(rng, 300, 1.5, shifted, _t);
-  dk::Analyzer an(net, train, shifted);
-
-  std::vector<std::vector<double>> pool, _t2;
-  make_dataset(rng, 200, 0.8, pool, _t2);
-  const std::size_t budget = 10;
-  const auto ranking = dk::select_tests(an, net, pool, budget);
-  std::vector<std::vector<double>> selected, prefix;
-  for (const auto& r : ranking) selected.push_back(pool[r.pool_index]);
-  for (std::size_t i = 0; i < budget && i < pool.size(); ++i) {
-    prefix.push_back(pool[i]);
-  }
-  EXPECT_GE(dk::suite_coverage(an, net, selected),
-            dk::suite_coverage(an, net, prefix));
-}
-
-TEST(TestSelection, StopsWhenNothingAddsCoverage) {
-  mx::Rng rng(211);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 100, 0.0, train, targets);
-  dk::Mlp net({2, 4, 1}, rng);
-  dk::Analyzer an(net, train, train);
-  // A pool of identical inputs: the second copy adds nothing.
-  std::vector<std::vector<double>> pool(10, train[0]);
-  const auto ranking = dk::select_tests(an, net, pool, 10);
-  EXPECT_EQ(ranking.size(), 1u);
-  EXPECT_DOUBLE_EQ(dk::suite_coverage(an, net, {}), 0.0);
-}
-
 TEST(Mlp, HiddenActivationsMatchTheTracedForwardPass) {
   mx::Rng rng(61);
   dk::Mlp net({3, 6, 5, 1}, rng);

@@ -16,6 +16,13 @@ using namespace sesame;
 
 const geo::GeoPoint kOrigin{35.1856, 33.3823, 0.0};
 
+/// The Fig. 1 ConSert network of one UAV.
+conserts::ConSertNetwork uav_network(const std::string& uav) {
+  conserts::ConSertNetwork net;
+  conserts::add_uav_conserts(net, uav);
+  return net;
+}
+
 // ---------------------------------------------------------------------------
 // Scenario: Fig. 6 + Fig. 7 pipeline — injection, detection, mitigation,
 // GPS-free landing — wired exactly as the benches do it.
@@ -98,13 +105,13 @@ TEST(EddiConsertPipeline, ReliabilityDegradationWalksActionLattice) {
   cfg.reliability.abort_threshold = 0.90;
   eddi::UavEddi uav_eddi("u", cfg, reference);
 
-  conserts::ConSertNetwork net;
-  conserts::add_uav_conserts(net, "u");
+  conserts::CompiledNetwork net(uav_network("u"));
+  const auto slots = conserts::uav_slots(net, "u");
 
   auto evaluate = [&] {
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", uav_eddi.consert_evidence());
-    return conserts::uav_action(net.evaluate(ctx), "u");
+    conserts::write_evidence(net, slots, uav_eddi.consert_evidence());
+    net.evaluate();
+    return conserts::uav_action(net, slots);
   };
 
   eddi::EddiInputs in;
@@ -241,15 +248,15 @@ TEST(PerceptionPipeline, AltitudeShiftFlipsVisionGuarantee) {
   cfg.safeml.window = 16;
   eddi::UavEddi e("u", cfg, reference);
 
-  conserts::ConSertNetwork net;
-  conserts::add_uav_conserts(net, "u");
+  conserts::CompiledNetwork net(uav_network("u"));
+  const auto slots = conserts::uav_slots(net, "u");
+  const std::size_t vision = net.guarantee_id(
+      net.consert_id(conserts::uav_consert_names("u").vision_localization),
+      conserts::guarantees::kVisionAvailable);
   auto vision_granted = [&] {
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", e.consert_evidence());
-    const auto eval = net.evaluate(ctx);
-    return eval.grants.count(
-               {conserts::uav_consert_names("u").vision_localization,
-                conserts::guarantees::kVisionAvailable}) > 0;
+    conserts::write_evidence(net, slots, e.consert_evidence());
+    net.evaluate();
+    return net.granted(vision);
   };
 
   eddi::EddiInputs in;
@@ -304,61 +311,6 @@ TEST(Determinism, FullScenarioBitReproducible) {
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.detection.persons_found, b.detection.persons_found);
   EXPECT_EQ(a.assurance_trace.size(), b.assurance_trace.size());
-}
-
-// ---------------------------------------------------------------------------
-// Jamming end-to-end: watchdog -> jamming attack tree -> ConSert fallback.
-// ---------------------------------------------------------------------------
-
-#include "sesame/platform/gps_watchdog.hpp"
-
-TEST(JammingPipeline, WatchdogTreeAndConsertFallback) {
-  sim::World world(kOrigin, 33);
-  for (const char* name : {"victim", "buddy"}) {
-    sim::UavConfig cfg;
-    cfg.name = name;
-    world.add_uav(cfg, kOrigin);
-  }
-  sim::Uav& victim = world.uav_by_name("victim");
-  victim.add_waypoint({0.0, 200.0, 30.0});
-  world.uav_by_name("buddy").add_waypoint({30.0, 30.0, 30.0});
-  for (std::size_t i = 0; i < world.num_uavs(); ++i) {
-    world.uav(i).command_takeoff();
-  }
-
-  platform::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("victim");
-  security::SecurityEddi jam_eddi(world.bus(),
-                                  security::make_jamming_attack_tree());
-
-  world.run(15, 1.0);
-  ASSERT_FALSE(jam_eddi.attack_detected());
-
-  // Jamming starts.
-  victim.gps().set_signal_lost(true);
-  world.run(5, 1.0);
-  ASSERT_TRUE(jam_eddi.attack_detected());
-
-  // The ConSert fallback: no GPS evidence, but the buddy enables the
-  // communication-localization guarantee -> the vehicle can continue.
-  conserts::ConSertNetwork net;
-  conserts::add_uav_conserts(net, "victim");
-  conserts::UavEvidence e;
-  e.gps_quality_good = false;  // no fix
-  e.no_security_attack = true; // jamming is availability, not integrity
-  e.comm_link_good = true;
-  e.nearby_uav_available = true;
-  e.vision_sensor_healthy = true;
-  e.reliability_high = true;
-  conserts::EvaluationContext ctx;
-  conserts::apply_evidence(ctx, "victim", e);
-  EXPECT_EQ(conserts::uav_action(net.evaluate(ctx), "victim"),
-            conserts::UavAction::kContinue);
-
-  // And the mitigation text points at collaborative localization.
-  ASSERT_FALSE(jam_eddi.tree().mitigations().empty());
-  EXPECT_NE(jam_eddi.tree().mitigations()[0].find("collaborative"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ TEST(CtmcProperty, AbsorptionProbabilityMonotone) {
   }
 }
 
-#include "sesame/markov/simulate.hpp"
+#include "sesame/testing/ctmc_simulate.hpp"
 
 TEST(Simulate, TrajectoryRespectsChainStructure) {
   mk::CtmcBuilder b;

@@ -431,55 +431,6 @@ TEST(MissionRunner, BaselineHasNoAssuranceTrace) {
   EXPECT_TRUE(runner.run().assurance_trace.empty());
 }
 
-#include "sesame/platform/gps_watchdog.hpp"
-#include "sesame/security/security_eddi.hpp"
-
-TEST(GpsWatchdog, JammingDetectionFeedsAttackTree) {
-  sim::World world(kOrigin, 81);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  sesame::security::SecurityEddi eddi(
-      world.bus(), sesame::security::make_jamming_attack_tree());
-
-  auto& uav = world.uav_by_name("u1");
-  uav.command_takeoff();
-  world.run(10, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-
-  // Jamming starts: fix lost while airborne.
-  uav.gps().set_signal_lost(true);
-  world.run(2, 1.0);
-  EXPECT_FALSE(eddi.attack_detected());  // below the streak threshold
-  world.run(2, 1.0);
-  EXPECT_TRUE(eddi.attack_detected());
-  EXPECT_EQ(watchdog.alerts_raised(), 1u);
-
-  // No alert storm during the outage; re-arms after recovery.
-  world.run(20, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 1u);
-  uav.gps().set_signal_lost(false);
-  world.run(3, 1.0);
-  uav.gps().set_signal_lost(true);
-  world.run(5, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 2u);
-}
-
-TEST(GpsWatchdog, GroundedVehicleNeverAlerts) {
-  sim::World world(kOrigin);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  world.uav_by_name("u1").gps().set_signal_lost(true);
-  world.run(20, 1.0);  // idle on the ground with no fix
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-  EXPECT_THROW((pf::GpsWatchdog{world.bus(), {0}}), std::invalid_argument);
-}
-
 #include "sesame/platform/config_io.hpp"
 
 TEST(ConfigIo, RoundTripsAllScenarioFields) {
@@ -601,39 +552,6 @@ TEST(MissionRunner, TelemetryStalenessDemotesCommGuarantee) {
   EXPECT_GT(demotion_time_s, 60.0);
   EXPECT_LE(demotion_time_s, 60.0 + cfg.telemetry_staleness_window_s +
                                  2.0 * cfg.consert_period_s);
-}
-
-TEST(GpsWatchdog, JammingAlertSurvivesTelemetryLoss) {
-  // The watchdog needs consecutive *received* no-fix samples; a 10%-lossy
-  // telemetry stream must still produce the alert, just possibly later.
-  sim::World world(kOrigin, 81);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-
-  mw::FaultPlan plan;
-  plan.seed = 5150;
-  mw::FaultRule rule;
-  rule.topic_suffix = "/telemetry";
-  rule.drop_probability = 0.10;
-  plan.rules.push_back(rule);
-  mw::FaultInjector injector(plan);
-  auto policy = world.bus().add_delivery_policy(&injector);
-
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  sesame::security::SecurityEddi eddi(
-      world.bus(), sesame::security::make_jamming_attack_tree());
-
-  auto& uav = world.uav_by_name("u1");
-  uav.command_takeoff();
-  world.run(10, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-
-  uav.gps().set_signal_lost(true);
-  world.run(30, 1.0);
-  EXPECT_TRUE(eddi.attack_detected());
-  EXPECT_GE(watchdog.alerts_raised(), 1u);
 }
 
 TEST(ConfigIo, RoundTripsFaultInjectionFields) {

@@ -397,54 +397,72 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatteryTrackerProperty,
 
 class ConsertEvidenceProperty : public ::testing::TestWithParam<unsigned> {};
 
+conserts::UavEvidence evidence_of_mask(unsigned m) {
+  conserts::UavEvidence e;
+  e.gps_quality_good = m & 1u;
+  e.no_security_attack = m & 2u;
+  e.vision_sensor_healthy = m & 4u;
+  e.safeml_confidence_high = m & 8u;
+  e.comm_link_good = m & 16u;
+  e.nearby_uav_available = m & 32u;
+  e.reliability_high = m & 64u;
+  return e;
+}
+
+/// UAV "u"'s Fig. 1 network compiled as the mission runs it; outcome()
+/// evaluates it over one evidence mask and returns every guarantee's
+/// granted flag followed by every ConSert's best guarantee id.
+struct CompiledUav {
+  conserts::CompiledNetwork compiled{network()};
+  conserts::UavSlots slots = conserts::uav_slots(compiled, "u");
+
+  static conserts::ConSertNetwork network() {
+    conserts::ConSertNetwork net;
+    conserts::add_uav_conserts(net, "u");
+    return net;
+  }
+
+  std::vector<std::size_t> outcome(unsigned mask) {
+    conserts::write_evidence(compiled, slots, evidence_of_mask(mask));
+    compiled.evaluate();
+    std::vector<std::size_t> out;
+    for (std::size_t g = 0; g < compiled.guarantee_count(); ++g) {
+      out.push_back(compiled.granted(g) ? 1 : 0);
+    }
+    for (std::size_t c = 0; c < compiled.consert_count(); ++c) {
+      out.push_back(compiled.best(c));
+    }
+    return out;
+  }
+};
+
 TEST_P(ConsertEvidenceProperty, AddingEvidenceNeverRemovesGrants) {
   // Granting more evidence can only keep or add guarantees (conditions are
   // monotone: no negations in the Fig. 1 network).
-  conserts::ConSertNetwork net;
-  conserts::add_uav_conserts(net, "u");
-
+  CompiledUav uav;
   const unsigned mask = GetParam();
-  auto evidence_of = [](unsigned m) {
-    conserts::UavEvidence e;
-    e.gps_quality_good = m & 1u;
-    e.no_security_attack = m & 2u;
-    e.vision_sensor_healthy = m & 4u;
-    e.safeml_confidence_high = m & 8u;
-    e.comm_link_good = m & 16u;
-    e.nearby_uav_available = m & 32u;
-    e.reliability_high = m & 64u;
-    return e;
-  };
-
-  conserts::EvaluationContext base_ctx;
-  conserts::apply_evidence(base_ctx, "u", evidence_of(mask));
-  const auto base = net.evaluate(base_ctx);
-
+  const auto base = uav.outcome(mask);
   for (unsigned bit = 0; bit < 7; ++bit) {
-    const unsigned super = mask | (1u << bit);
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", evidence_of(super));
-    const auto more = net.evaluate(ctx);
-    for (const auto& grant : base.grants) {
-      EXPECT_TRUE(more.grants.count(grant))
-          << "grant lost when adding evidence bit " << bit;
+    const auto more = uav.outcome(mask | (1u << bit));
+    for (std::size_t g = 0; g < uav.compiled.guarantee_count(); ++g) {
+      if (base[g] != 0) {
+        EXPECT_NE(more[g], 0u) << uav.compiled.guarantee_name(g)
+                               << " lost when adding evidence bit " << bit;
+      }
     }
   }
 }
 
 TEST_P(ConsertEvidenceProperty, EvaluationIsDeterministic) {
-  conserts::ConSertNetwork net;
-  conserts::add_uav_conserts(net, "u");
-  conserts::UavEvidence e;
-  e.gps_quality_good = GetParam() & 1u;
-  e.no_security_attack = GetParam() & 2u;
-  e.reliability_high = GetParam() & 64u;
-  conserts::EvaluationContext ctx;
-  conserts::apply_evidence(ctx, "u", e);
-  const auto a = net.evaluate(ctx);
-  const auto b = net.evaluate(ctx);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.best, b.best);
+  // Idempotent, and no state leaks across evaluations: the same evidence
+  // gives the same grants and best guarantees again, also after the
+  // network was evaluated over every other mask in between.
+  CompiledUav uav;
+  const unsigned mask = GetParam();
+  const auto a = uav.outcome(mask);
+  EXPECT_EQ(uav.outcome(mask), a);
+  for (unsigned other = 0; other < 128; ++other) uav.outcome(other);
+  EXPECT_EQ(uav.outcome(mask), a);
 }
 
 INSTANTIATE_TEST_SUITE_P(EvidenceMasks, ConsertEvidenceProperty,

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "sesame/mathx/rng.hpp"
+#include "sesame/mathx/stats.hpp"
 #include "sesame/safeml/distances.hpp"
 #include "sesame/safeml/monitor.hpp"
 
@@ -378,21 +379,56 @@ TEST(Monitor, ConfidenceLevelNames) {
 
 #include "sesame/safeml/calibration.hpp"
 
+namespace {
+
+/// The bootstrap sampler: each feature's window resampled with replacement
+/// from that feature's reference.
+sml::WindowSampler bootstrap(const std::vector<std::vector<double>>& reference,
+                             std::size_t window, mx::Rng& rng) {
+  return [&reference, window, &rng](std::vector<std::vector<double>>& win) {
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      for (std::size_t i = 0; i < window; ++i) {
+        win[k].push_back(reference[k][rng.uniform_index(reference[k].size())]);
+      }
+    }
+  };
+}
+
+sml::MonitorConfig config_of(sml::Measure measure, std::size_t window,
+                             double high = 0.75, double low = 0.40) {
+  sml::MonitorConfig cfg;
+  cfg.measure = measure;
+  cfg.window = window;
+  cfg.high_threshold = high;
+  cfg.low_threshold = low;
+  return cfg;
+}
+
+}  // namespace
+
 TEST(Calibration, ValidatesArguments) {
   mx::Rng rng(1);
+  const auto ks = sml::Measure::kKolmogorovSmirnov;
   std::vector<std::vector<double>> ref{{1.0, 2.0, 3.0, 4.0}};
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, {},
-                                      4, rng),
+  const std::vector<std::vector<double>> none;
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 4), none, 200,
+                                      bootstrap(none, 4, rng)),
                std::invalid_argument);
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      8, rng),
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 8), ref, 200,
+                                      bootstrap(ref, 8, rng)),
                std::invalid_argument);  // reference smaller than window
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      4, rng, 5),
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 1), ref, 200,
+                                      bootstrap(ref, 1, rng)),
+               std::invalid_argument);  // window < 2
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 4), ref, 5,
+                                      bootstrap(ref, 4, rng)),
                std::invalid_argument);  // too few trials
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      4, rng, 100, 0.4, 0.7),
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 4, 0.4, 0.7), ref, 100,
+                                      bootstrap(ref, 4, rng)),
                std::invalid_argument);  // thresholds inverted
+  EXPECT_THROW(sml::calibrate_monitor(config_of(ks, 4), ref, 100,
+                                      bootstrap(ref, 3, rng)),
+               std::invalid_argument);  // sampler fills a short window
 }
 
 TEST(Calibration, CleanDataClassifiesHigh) {
@@ -400,7 +436,8 @@ TEST(Calibration, CleanDataClassifiesHigh) {
   const auto reference = std::vector<std::vector<double>>{
       normal_sample(rng, 500, 0.0, 1.0), normal_sample(rng, 500, 10.0, 2.0)};
   const auto report = sml::calibrate_monitor(
-      sml::Measure::kKolmogorovSmirnov, reference, 64, rng);
+      config_of(sml::Measure::kKolmogorovSmirnov, 64), reference, 200,
+      bootstrap(reference, 64, rng));
   EXPECT_GT(report.config.full_scale, 0.0);
   EXPECT_GE(report.self_distance_p95, report.self_distance_p50);
 
@@ -422,7 +459,8 @@ TEST(Calibration, ShiftedDataStillFlagged) {
   const auto reference =
       std::vector<std::vector<double>>{normal_sample(rng, 500, 0.0, 1.0)};
   const auto report = sml::calibrate_monitor(
-      sml::Measure::kWasserstein, reference, 64, rng);
+      config_of(sml::Measure::kWasserstein, 64), reference, 200,
+      bootstrap(reference, 64, rng));
   sml::Monitor mon(report.config, reference);
   for (int i = 0; i < 64; ++i) mon.push({rng.normal(4.0, 1.0)});
   EXPECT_EQ(mon.assess()->level, sml::ConfidenceLevel::kLow);
@@ -433,10 +471,37 @@ TEST(Calibration, WorksForEveryMeasure) {
   const auto reference =
       std::vector<std::vector<double>>{normal_sample(rng, 300, 0.0, 1.0)};
   for (auto m : sml::all_measures()) {
-    const auto report = sml::calibrate_monitor(m, reference, 32, rng, 100);
+    const auto report = sml::calibrate_monitor(
+        config_of(m, 32), reference, 100, bootstrap(reference, 32, rng));
     EXPECT_GT(report.config.full_scale, 0.0) << sml::measure_name(m);
     EXPECT_EQ(report.config.measure, m);
+    EXPECT_EQ(report.config.window, 32u);
   }
+}
+
+TEST(Calibration, ScaleIsTheP95SelfDistanceOfTheSampledWindows) {
+  // The scale comes from distance() over exactly the windows the sampler
+  // draws, averaged over features; a fixed sampler pins it by hand.
+  mx::Rng rng(107);
+  const auto reference = std::vector<std::vector<double>>{
+      normal_sample(rng, 200, 0.0, 1.0), normal_sample(rng, 200, 5.0, 1.0)};
+  mx::Rng draws(109);
+  std::vector<double> self;
+  const auto cfg = config_of(sml::Measure::kWasserstein, 16, 0.60, 0.30);
+  const auto report = sml::calibrate_monitor(
+      cfg, reference, 40, [&](std::vector<std::vector<double>>& win) {
+        for (auto& w : win) {
+          for (int i = 0; i < 16; ++i) w.push_back(draws.normal(0.5, 1.0));
+        }
+        self.push_back((sml::distance(cfg.measure, reference[0], win[0]) +
+                        sml::distance(cfg.measure, reference[1], win[1])) /
+                       2.0);
+      });
+  ASSERT_EQ(self.size(), 40u);
+  EXPECT_EQ(report.self_distance_p95, mx::quantile(self, 0.95));
+  EXPECT_EQ(report.config.full_scale,
+            std::max(1e-9, mx::quantile(self, 0.95) / (1.0 - 0.60)));
+  EXPECT_EQ(report.config.low_threshold, 0.30);
 }
 
 TEST(Monitor, PerFeatureDissimilarityIsolatesDriftedChannel) {
@@ -458,72 +523,6 @@ TEST(Monitor, PerFeatureDissimilarityIsolatesDriftedChannel) {
   const auto a = mon.assess();
   ASSERT_TRUE(a.has_value());
   EXPECT_NEAR(a->dissimilarity, (per[0] + per[1]) / 2.0, 1e-12);
-}
-
-#include "sesame/safeml/drift.hpp"
-
-TEST(DriftDetector, ValidatesConfig) {
-  sml::DriftDetectorConfig cfg;
-  cfg.threshold = 0.0;
-  EXPECT_THROW((sml::DriftDetector{cfg}), std::invalid_argument);
-  cfg = {};
-  cfg.slack = -0.1;
-  EXPECT_THROW((sml::DriftDetector{cfg}), std::invalid_argument);
-}
-
-TEST(DriftDetector, NoAlarmOnInControlStream) {
-  mx::Rng rng(111);
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.10;
-  cfg.slack = 0.05;
-  cfg.threshold = 0.5;
-  sml::DriftDetector detector(cfg);
-  for (int i = 0; i < 2000; ++i) {
-    detector.push(std::max(0.0, rng.normal(0.10, 0.02)));
-  }
-  EXPECT_FALSE(detector.alarmed());
-}
-
-TEST(DriftDetector, FastDetectionOfSustainedShift) {
-  mx::Rng rng(113);
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.10;
-  cfg.slack = 0.05;
-  cfg.threshold = 0.5;
-  sml::DriftDetector detector(cfg);
-  for (int i = 0; i < 500; ++i) {
-    detector.push(std::max(0.0, rng.normal(0.10, 0.02)));
-  }
-  ASSERT_FALSE(detector.alarmed());
-  // Shift of +0.25 in dissimilarity: expected detection delay ~ h/(shift-k)
-  // = 0.5/0.2 ~ 3 samples.
-  int delay = 0;
-  while (!detector.push(std::max(0.0, rng.normal(0.35, 0.02)))) ++delay;
-  EXPECT_LT(delay, 10);
-  ASSERT_TRUE(detector.alarm_index().has_value());
-  EXPECT_GE(*detector.alarm_index(), 500u);
-}
-
-TEST(DriftDetector, AlarmLatchesUntilReset) {
-  sml::DriftDetector detector({0.0, 0.0, 0.1});
-  EXPECT_TRUE(detector.push(1.0));
-  EXPECT_TRUE(detector.push(0.0));  // latched despite clean sample
-  detector.reset();
-  EXPECT_FALSE(detector.alarmed());
-  EXPECT_EQ(detector.samples_seen(), 0u);
-}
-
-TEST(DriftDetector, TransientBlipDoesNotAlarm) {
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.1;
-  cfg.slack = 0.05;
-  cfg.threshold = 1.0;
-  sml::DriftDetector detector(cfg);
-  // One big blip then back to normal: statistic decays via the slack.
-  detector.push(0.6);
-  for (int i = 0; i < 50; ++i) detector.push(0.05);
-  EXPECT_FALSE(detector.alarmed());
-  EXPECT_LT(detector.statistic(), 0.2);
 }
 
 TEST(Distances, SortedVariantMatchesUnsortedForAllMeasures) {

@@ -267,19 +267,41 @@ TEST(SeverityNames, Distinct) {
   EXPECT_EQ(sec::severity_name(sec::Severity::kCritical), "Critical");
 }
 
+namespace {
+
+/// A second attack tree beside the spoofing one: GPS jamming (CAPEC-601)
+/// or command-link flooding (CAPEC-125, also a spoofing-tree leaf).
+sec::AttackTree denial_of_navigation_tree() {
+  sec::AttackStepInfo jam;
+  jam.capec_id = "CAPEC-601";
+  jam.title = "Jam GNSS reception";
+  jam.severity = sec::Severity::kHigh;
+  sec::AttackStepInfo flood;
+  flood.capec_id = "CAPEC-125";
+  flood.title = "Flood the command-and-control channel";
+  flood.severity = sec::Severity::kMedium;
+  return sec::AttackTree(
+      "denial_of_navigation",
+      sec::AttackNode::or_node("Deny fleet navigation or command capability",
+                               {sec::AttackNode::leaf(jam),
+                                sec::AttackNode::leaf(flood)}));
+}
+
+}  // namespace
+
 TEST(JammingTree, StructureAndIndependentEddis) {
   // One Security EDDI per attack tree, running side by side on one bus.
   mw::Bus bus;
   sec::SecurityEddi spoof_eddi(bus, sec::make_spoofing_attack_tree());
-  sec::SecurityEddi jam_eddi(bus, sec::make_jamming_attack_tree());
+  sec::SecurityEddi jam_eddi(bus, denial_of_navigation_tree());
 
   // A jamming alert (physical-layer sensor) reaches only the jamming tree.
   sec::IdsAlert jam;
   jam.rule = "gps_fix_lost";
   jam.capec_id = "CAPEC-601";
-  jam.source = "gps_watchdog";
+  jam.source = "gps_sensor";
   jam.time_s = 12.0;
-  bus.publish(sec::ids_alert_topic(), jam, "gps_watchdog", 12.0);
+  bus.publish(sec::ids_alert_topic(), jam, "gps_sensor", 12.0);
   EXPECT_TRUE(jam_eddi.attack_detected());
   EXPECT_FALSE(spoof_eddi.attack_detected());
 }
@@ -288,7 +310,7 @@ TEST(JammingTree, FloodingReachesBothTrees) {
   // CAPEC-125 appears in both trees: one alert fires both EDDIs.
   mw::Bus bus;
   sec::SecurityEddi spoof_eddi(bus, sec::make_spoofing_attack_tree());
-  sec::SecurityEddi jam_eddi(bus, sec::make_jamming_attack_tree());
+  sec::SecurityEddi jam_eddi(bus, denial_of_navigation_tree());
   sec::IdsAlert flood;
   flood.rule = "flooding";
   flood.capec_id = "CAPEC-125";
@@ -296,15 +318,6 @@ TEST(JammingTree, FloodingReachesBothTrees) {
   bus.publish(sec::ids_alert_topic(), flood, "ids", 1.0);
   EXPECT_TRUE(spoof_eddi.attack_detected());
   EXPECT_TRUE(jam_eddi.attack_detected());
-}
-
-TEST(JammingTree, MitigationsNameLocalizationFallback) {
-  auto tree = sec::make_jamming_attack_tree();
-  tree.trigger("CAPEC-601");
-  ASSERT_TRUE(tree.goal_achieved());
-  const auto mits = tree.mitigations();
-  ASSERT_EQ(mits.size(), 1u);
-  EXPECT_NE(mits[0].find("collaborative"), std::string::npos);
 }
 
 // --- WireMonitor (sesame.wire.* counters as IDS evidence) ------------------

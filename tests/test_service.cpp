@@ -7,8 +7,11 @@
 // fetched from the service — over any transport, at any executor count,
 // under multi-tenant concurrency — is exactly campaign_json() of the same
 // (scenario, runs, seed), i.e. the bytes campaign_cli --json writes.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/report.hpp"
 #include "sesame/eddi/ode.hpp"
+#include "sesame/mathx/rng.hpp"
 #include "sesame/mw/bus.hpp"
 #include "sesame/platform/config_io.hpp"
 #include "sesame/service/drain.hpp"
@@ -331,6 +335,187 @@ TEST(Http, BadOrOversizedContentLengthFailsAtTheHead) {
   const auto req = at_cap.feed(body.data(), body.size());
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->body.size(), service::HttpConnection::kMaxBodyBytes);
+}
+
+// --- HttpConnection fuzz ---------------------------------------------------
+//
+// Seeded inputs, the way test_wire fuzzes the wire decoder: random bytes and
+// valid requests with mutated Content-Length, head size and CR/LF
+// placement, each fed at random split points. Every input ends as a
+// request, a pending parse or failed() with 400/413/431; the buffer never
+// exceeds one head plus one body; and the outcome is the same however the
+// bytes were split — so a valid request split anywhere parses to the same
+// HttpRequest. The ASan/UBSan CI jobs run this with memory checking.
+
+namespace {
+
+using Http = service::HttpConnection;
+
+const std::string kFuzzBody = "{\"runs\": 4}";
+
+std::string fuzz_request(const std::string& content_length,
+                         const std::string& extra_header,
+                         const std::string& body) {
+  return "POST /api/v1/campaigns?x=1 HTTP/1.1\r\nHost: localhost\r\n" +
+         extra_header + "Content-Length: " + content_length + "\r\n\r\n" +
+         body;
+}
+
+/// The final state of a connection fed `input` in the pieces `cuts`
+/// delimits: the first request returned, or the error status, or neither.
+struct FeedOutcome {
+  std::optional<service::HttpRequest> request;
+  int status = 0;  ///< error status when failed(), else 0
+  std::size_t max_buffered = 0;
+};
+
+FeedOutcome feed_split(const std::string& input, std::vector<std::size_t> cuts) {
+  cuts.push_back(input.size());
+  std::sort(cuts.begin(), cuts.end());
+  Http conn;
+  FeedOutcome out;
+  std::size_t from = 0;
+  for (const std::size_t to : cuts) {
+    auto got = conn.feed(input.data() + from, to - from);
+    if (got && !out.request) out.request = std::move(got);
+    out.max_buffered = std::max(out.max_buffered, conn.buffered());
+    from = to;
+  }
+  if (conn.failed()) out.status = conn.error().status;
+  return out;
+}
+
+bool same_request(const service::HttpRequest& a, const service::HttpRequest& b) {
+  return a.method == b.method && a.path == b.path && a.query == b.query &&
+         a.headers == b.headers && a.body == b.body;
+}
+
+/// One fuzz input; `large` allows heads and bodies near the caps.
+std::string fuzz_input(sesame::mathx::Rng& rng, bool large) {
+  const auto random_bytes = [&](std::size_t n) {
+    // Biased towards the bytes the parser looks for.
+    const char special[] = {'\r', '\n', ':', ' ', '?', '0', '9'};
+    std::string out(n, '\0');
+    for (auto& c : out) {
+      c = rng.bernoulli(0.3)
+              ? special[rng.uniform_index(sizeof(special))]
+              : static_cast<char>(rng.uniform_index(256));
+    }
+    return out;
+  };
+  switch (large ? rng.uniform_index(2) : 2 + rng.uniform_index(2)) {
+    case 0: {  // head size: one padding header around the head cap
+      const std::size_t base = fuzz_request("11", "X-Pad: \r\n", "").size();
+      const std::size_t target =
+          Http::kMaxHeadBytes - 2 + rng.uniform_index(5);  // cap-2 .. cap+2
+      const std::size_t pad = target > base ? target - base : 0;
+      return fuzz_request("11", "X-Pad: " + std::string(pad, 'p') + "\r\n",
+                          kFuzzBody);
+    }
+    case 1: {  // body at, under or over the body cap, plus trailing bytes
+      // (sometimes more than a whole head: one request never needs them)
+      const std::size_t length =
+          Http::kMaxBodyBytes - 1 + rng.uniform_index(3);
+      const std::size_t trailing = rng.uniform_index(8) +
+                                   (rng.bernoulli(0.5) ? Http::kMaxHeadBytes : 0);
+      return fuzz_request(std::to_string(length), "",
+                          std::string(length + trailing, 'b'));
+    }
+    case 2: {  // Content-Length mutations
+      const std::string lengths[] = {"-1",  "abc", "",   "0",
+                                     "11",  "12",  "5",  " 11",
+                                     "11 ", "+11", "1048577",
+                                     "99999999999999999999",
+                                     std::to_string(rng.uniform_index(40))};
+      std::string body = kFuzzBody;
+      body.resize(rng.uniform_index(24), '}');
+      return fuzz_request(lengths[rng.uniform_index(std::size(lengths))], "",
+                          body);
+    }
+    default: {
+      if (rng.bernoulli(0.3)) return random_bytes(rng.uniform_index(300));
+      // CR/LF placement: insert, delete or overwrite CR/LF bytes.
+      std::string in = fuzz_request("11", "", kFuzzBody);
+      for (std::uint64_t k = 1 + rng.uniform_index(3); k > 0; --k) {
+        const std::size_t at = rng.uniform_index(in.size());
+        const char crlf = rng.bernoulli(0.5) ? '\r' : '\n';
+        switch (rng.uniform_index(3)) {
+          case 0: in.insert(in.begin() + static_cast<std::ptrdiff_t>(at), crlf); break;
+          case 1: in.erase(at, 1); break;
+          default: in[at] = crlf; break;
+        }
+      }
+      return in;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Http, FuzzedFeedsEndInAnAllowedStateWhateverTheSplit) {
+  sesame::mathx::Rng rng(0x48545450);
+  std::size_t requests = 0, failures = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const bool large = iter % 50 == 0;
+    const std::string input = fuzz_input(rng, large);
+    const FeedOutcome whole = feed_split(input, {});
+    ASSERT_TRUE(whole.status == 0 || whole.status == 400 ||
+                whole.status == 413 || whole.status == 431)
+        << "iter " << iter << " status " << whole.status;
+    ASSERT_FALSE(whole.request && whole.status != 0) << "iter " << iter;
+    if (whole.request) ++requests;
+    if (whole.status != 0) ++failures;
+    for (int split = 0; split < (large ? 2 : 6); ++split) {
+      std::vector<std::size_t> cuts(rng.uniform_index(large ? 4 : 9));
+      for (auto& c : cuts) {
+        // Large inputs: half the cuts land within a few bytes of the head
+        // cap, where an incomplete head is decided.
+        c = large && rng.bernoulli(0.5)
+                ? Http::kMaxHeadBytes - 4 + rng.uniform_index(9)
+                : rng.uniform_index(input.size() + 1);
+        c = std::min(c, input.size());
+      }
+      const FeedOutcome part = feed_split(input, cuts);
+      ASSERT_LE(part.max_buffered, Http::kMaxHeadBytes + Http::kMaxBodyBytes);
+      ASSERT_EQ(part.status, whole.status) << "iter " << iter;
+      ASSERT_EQ(part.request.has_value(), whole.request.has_value())
+          << "iter " << iter;
+      if (whole.request) {
+        ASSERT_TRUE(same_request(*part.request, *whole.request))
+            << "iter " << iter;
+      }
+    }
+  }
+  // The generator reaches every outcome, not just one.
+  EXPECT_GT(requests, 100u);
+  EXPECT_GT(failures, 100u);
+}
+
+TEST(Http, HeadCapCountsTheTerminatorWhateverTheSplit) {
+  // A head of exactly kMaxHeadBytes (terminator included) parses; one byte
+  // more is 431, whether it arrives whole or byte by byte at the edge.
+  const std::string base = fuzz_request("11", "X-Pad: \r\n", "");
+  for (const std::size_t head : {Http::kMaxHeadBytes, Http::kMaxHeadBytes + 1}) {
+    const std::string raw =
+        fuzz_request("11", "X-Pad: " + std::string(head - base.size(), 'p') +
+                               "\r\n", kFuzzBody);
+    ASSERT_EQ(raw.size() - kFuzzBody.size(), head);
+    const bool fits = head <= Http::kMaxHeadBytes;
+    std::vector<std::size_t> edge;
+    for (std::size_t i = head - 6; i <= head; ++i) edge.push_back(i);
+    for (const auto& cuts : {std::vector<std::size_t>{}, edge}) {
+      const FeedOutcome out = feed_split(raw, cuts);
+      EXPECT_EQ(out.request.has_value(), fits) << head;
+      EXPECT_EQ(out.status, fits ? 0 : 431) << head;
+    }
+  }
+  // Bytes past one head plus one body are dropped, not buffered.
+  Http conn;
+  const std::string raw = fuzz_request("11", "", kFuzzBody);
+  ASSERT_TRUE(conn.feed(raw.data(), raw.size()).has_value());
+  const std::string flood(Http::kMaxHeadBytes + Http::kMaxBodyBytes, 'z');
+  conn.feed(flood.data(), flood.size());
+  EXPECT_EQ(conn.buffered(), Http::kMaxHeadBytes + Http::kMaxBodyBytes);
 }
 
 TEST(Http, RoutesTheFullJobLifecycle) {

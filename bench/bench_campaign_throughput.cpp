@@ -6,12 +6,20 @@
 // baseline arm keeps per-run cost dominated by simulation, not monitor
 // calibration) and reports runs/sec as a counter, so
 //   bench_campaign_throughput --benchmark_counters_tabular=true
-// prints a thread-scaling table directly, and
+// prints a thread-scaling table directly, next to cpu_ms_per_run: the
+// process CPU time (every pool thread, from getrusage) a campaign costs,
+// per run, which leaves out time spent waiting for a core. On a shared
+// host both figures still move with the host's effective CPU speed
+// between processes (the committed baseline's note gives the spreads),
+// so compare sides over several alternating processes. And
 //   bench_campaign_throughput --json out.json
 // writes the machine-readable report the committed
 // BENCH_campaign_throughput.json baseline is regenerated from (see
 // docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+
+#include <algorithm>
 
 #include "bench_json.hpp"
 #include "sesame/campaign/campaign.hpp"
@@ -19,6 +27,17 @@
 namespace {
 
 using namespace sesame;
+
+/// User + system CPU time of the whole process (all threads), ms.
+double process_cpu_ms() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) * 1e-3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
 
 platform::RunnerConfig small_scenario(bool sesame_on) {
   platform::RunnerConfig config = campaign::ScenarioFactory::default_scenario();
@@ -39,13 +58,18 @@ void bench_campaign(benchmark::State& state, bool sesame_on) {
   config.collect_metrics = true;
 
   std::size_t runs_done = 0;
+  double cpu_ms = 0.0;
   for (auto _ : state) {
+    const double cpu_before = process_cpu_ms();
     const auto result = campaign::run_campaign(factory, config);
+    cpu_ms += process_cpu_ms() - cpu_before;
     benchmark::DoNotOptimize(result.summaries.data());
     runs_done += result.runs;
   }
   state.counters["runs_per_s"] = benchmark::Counter(
       static_cast<double>(runs_done), benchmark::Counter::kIsRate);
+  state.counters["cpu_ms_per_run"] =
+      cpu_ms / static_cast<double>(std::max<std::size_t>(runs_done, 1));
   state.counters["jobs"] = static_cast<double>(config.jobs);
 }
 

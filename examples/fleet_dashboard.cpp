@@ -45,14 +45,11 @@ int main() {
   runner.attach_observability(o);
 
   // The dashboard's data source: a GCS-side database fed over the bus,
-  // with the ground control station logging operational events.
+  // with the ground control station logging operational events. The GCS
+  // is the database's client "web_gui", and watch_uav attaches a vehicle.
   platform::DatabaseManager db(runner.world().bus());
-  db.allow_client("web_gui");
   platform::GroundControlStation gcs(runner.world().bus(), db, "web_gui");
-  for (const auto& name : runner.uav_names()) {
-    db.attach_uav(name);
-    gcs.watch_uav(name);
-  }
+  for (const auto& name : runner.uav_names()) gcs.watch_uav(name);
   gcs.log_operator_note(0.0, "mission launch authorized");
 
   const auto result = runner.run();

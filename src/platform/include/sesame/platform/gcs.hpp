@@ -4,7 +4,7 @@
 // logs operationally relevant events (mode transitions, low-battery
 // warnings, security events), and renders the textual status view the
 // web/control GUIs display. Pure consumer — it commands nothing itself;
-// task assignment goes through the UAV/Task managers.
+// MissionRunner commands the vehicles (apply_action).
 #pragma once
 
 #include <string>

@@ -29,9 +29,7 @@
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/obs/observability.hpp"
 #include "sesame/localization/collaborative.hpp"
-#include "sesame/platform/database.hpp"
 #include "sesame/platform/invariants.hpp"
-#include "sesame/platform/managers.hpp"
 #include "sesame/platform/recovery.hpp"
 #include "sesame/sar/mission.hpp"
 #include "sesame/security/ids.hpp"
@@ -183,6 +181,12 @@ struct RunnerResult {
   std::size_t recovery_replans = 0;
 };
 
+/// Translates a ConSert action into vehicle commands (the paper's UAV
+/// Manager role). Continue and ContinueExtended resume a held vehicle and
+/// leave any other mode alone; Hold, ReturnToBase and EmergencyLand command
+/// that mode (ignored by a vehicle on the ground).
+void apply_action(sim::Uav& uav, conserts::UavAction action);
+
 class MissionRunner {
  public:
   explicit MissionRunner(RunnerConfig config);
@@ -232,15 +236,12 @@ class MissionRunner {
   // Vehicle names in add order; per-vehicle runner state below is held in
   // vectors parallel to names_ (index == World fleet index), and every
   // internal reference to a vehicle is that index. Names are used only
-  // for labels, the report, building the ConSert model and resolving its
-  // slots once (uav_slots_), and UavManager.
+  // for labels, the report, and building the ConSert model and resolving
+  // its slots once (uav_slots_).
   std::vector<std::string> names_;
   std::vector<geo::EnuPoint> home_enu_;
   std::vector<sar::SweepPlan> plans_;  // parallel to names_
   std::unique_ptr<sar::SarMission> mission_;
-  std::unique_ptr<UavManager> uav_manager_;
-  std::unique_ptr<TaskManager> task_manager_;
-  std::unique_ptr<DatabaseManager> database_;
   std::unique_ptr<security::IntrusionDetectionSystem> ids_;
   std::shared_ptr<security::SecurityEddi> security_;
   std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;  // parallel to names_

@@ -50,10 +50,7 @@ void InvariantChecker::check_lost_uav_inactive(double now_s,
 
 void InvariantChecker::check_min_soc(double now_s, const std::string& uav,
                                      double soc, sim::FlightMode mode) {
-  const bool serving = mode == sim::FlightMode::kTakeoff ||
-                       mode == sim::FlightMode::kMission ||
-                       mode == sim::FlightMode::kHold;
-  if (serving && soc < config_.min_soc_floor) {
+  if (sim::serving(mode) && soc < config_.min_soc_floor) {
     record("min_soc_floor", uav, now_s,
            "soc " + std::to_string(soc) + " below floor while serving");
   }

@@ -27,6 +27,24 @@ sinadra::AltitudeBand altitude_band(double altitude_m) {
 
 }  // namespace
 
+void apply_action(sim::Uav& uav, conserts::UavAction action) {
+  switch (action) {
+    case conserts::UavAction::kContinueExtended:
+    case conserts::UavAction::kContinue:
+      if (uav.mode() == sim::FlightMode::kHold) uav.command_resume_mission();
+      break;
+    case conserts::UavAction::kHold:
+      uav.command_hold();
+      break;
+    case conserts::UavAction::kReturnToBase:
+      uav.command_return_to_base();
+      break;
+    case conserts::UavAction::kEmergencyLand:
+      uav.command_emergency_land();
+      break;
+  }
+}
+
 MissionRunner::MissionRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.n_uavs == 0) throw std::invalid_argument("MissionRunner: no UAVs");
   if (config_.dt_s <= 0.0 || config_.max_time_s <= 0.0 ||
@@ -82,20 +100,7 @@ void MissionRunner::setup_world() {
          0.0});
   }
 
-  uav_manager_ = std::make_unique<UavManager>(*world_);
-  task_manager_ = std::make_unique<TaskManager>();
-  database_ = std::make_unique<DatabaseManager>(world_->bus());
-  database_->allow_client("gcs");
-  for (const auto& name : names_) {
-    UavInfo info;
-    info.name = name;
-    info.equipment = {"rgb_camera", "jetson_xavier_nx", "gps", "radio"};
-    uav_manager_->register_uav(info);
-    database_->attach_uav(name);
-  }
-
-  plans_ = task_manager_->plan("boustrophedon", config_.area, config_.n_uavs,
-                               config_.coverage);
+  plans_ = sar::plan_coverage(config_.area, config_.n_uavs, config_.coverage);
   std::vector<std::size_t> fleet(names_.size());
   std::iota(fleet.begin(), fleet.end(), std::size_t{0});
   mission_ = std::make_unique<sar::SarMission>(*world_, fleet, plans_);
@@ -168,7 +173,7 @@ void MissionRunner::setup_recovery() {
   };
   hooks.demote = [this](std::size_t i) { set_comm_demoted(i, true); };
   hooks.command_rth = [this](std::size_t i) {
-    uav_manager_->apply_action(names_[i], conserts::UavAction::kReturnToBase);
+    apply_action(world_->uav(i), conserts::UavAction::kReturnToBase);
   };
   hooks.declare_lost = [this](std::size_t i) { declare_lost(i); };
   RecoveryConfig rc = config_.recovery;
@@ -652,10 +657,8 @@ RunnerResult MissionRunner::run() {
       // assurance lattice currently permits.
       for (std::size_t i = 0; i < n; ++i) {
         sim::Uav& uav = world_->uav(i);
-        const bool serving = uav.mode() == sim::FlightMode::kTakeoff ||
-                             uav.mode() == sim::FlightMode::kMission ||
-                             uav.mode() == sim::FlightMode::kHold;
-        if (serving && uav.battery().soc() < config_.recovery.min_soc_rtb) {
+        if (sim::serving(uav.mode()) &&
+            uav.battery().soc() < config_.recovery.min_soc_rtb) {
           uav.command_return_to_base();
         }
       }
@@ -742,7 +745,7 @@ RunnerResult MissionRunner::run() {
             action = conserts::UavAction::kEmergencyLand;
           }
           current_action[i] = action;
-          uav_manager_->apply_action(names_[i], action);
+          apply_action(world_->uav(i), action);
         }
         // Mission-level task redistribution (Fig. 1 decider): a UAV that
         // dropped out with tasks pending hands its remaining waypoints to a
@@ -834,10 +837,7 @@ RunnerResult MissionRunner::run() {
       }
 
       // Available = airborne and able to serve (Fig. 5 availability).
-      const bool available = uav.mode() == sim::FlightMode::kTakeoff ||
-                             uav.mode() == sim::FlightMode::kMission ||
-                             uav.mode() == sim::FlightMode::kHold;
-      if (available) productive_s[i] += config_.dt_s;
+      if (sim::serving(uav.mode())) productive_s[i] += config_.dt_s;
       actions.push_back(current_action[i]);
     }
 

@@ -37,6 +37,15 @@ enum class FlightMode {
 
 std::string flight_mode_name(FlightMode m);
 
+/// True in the modes in which a vehicle serves the mission (Takeoff,
+/// Mission, Hold): the airborne modes of Uav::airborne() minus the
+/// return-to-base and emergency-landing legs. Fig. 5 availability, the
+/// recovery energy floor and the min-SoC invariant all use this set.
+constexpr bool serving(FlightMode m) noexcept {
+  return m == FlightMode::kTakeoff || m == FlightMode::kMission ||
+         m == FlightMode::kHold;
+}
+
 struct UavConfig {
   std::string name = "uav";
   double cruise_speed_mps = 8.0;

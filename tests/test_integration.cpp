@@ -5,6 +5,7 @@
 
 #include "sesame/eddi/uav_eddi.hpp"
 #include "sesame/localization/collaborative.hpp"
+#include "sesame/platform/database.hpp"
 #include "sesame/platform/mission_runner.hpp"
 #include "sesame/security/attack_tree.hpp"
 #include "sesame/security/ids.hpp"

@@ -1,5 +1,5 @@
-// Tests for the multi-UAV platform: database manager access control,
-// UAV/task managers, and MissionRunner end-to-end scenarios (nominal,
+// Tests for the multi-UAV platform: database manager access control, the
+// ConSert action mapping (apply_action), and MissionRunner end-to-end scenarios (nominal,
 // battery fault with/without SESAME).
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "sesame/platform/gcs.hpp"
 #include "sesame/security/attack_tree.hpp"
 #include "sesame/security/ids.hpp"
-#include "sesame/platform/managers.hpp"
 #include "sesame/platform/mission_runner.hpp"
 
 namespace pf = sesame::platform;
@@ -103,68 +102,65 @@ TEST(DatabaseManager, DiscardsStaleAndDuplicateTelemetry) {
   EXPECT_EQ(db.records_rejected(), 2u);
 }
 
-TEST(UavManager, RegistrationAndInfo) {
-  sim::World world(kOrigin);
+namespace {
+
+/// One vehicle flying its first mission leg (mode kMission).
+sim::Uav& flying_uav(sim::World& world) {
   sim::UavConfig uc;
   uc.name = "u1";
   world.add_uav(uc, kOrigin);
-  pf::UavManager mgr(world);
-  pf::UavInfo info;
-  info.name = "u1";
-  info.equipment = {"rgb_camera"};
-  mgr.register_uav(info);
-  EXPECT_EQ(mgr.info("u1").equipment.size(), 1u);
-  EXPECT_EQ(mgr.registered().size(), 1u);
-  EXPECT_NEAR(mgr.battery_level("u1"), 1.0, 1e-6);
-  EXPECT_THROW(mgr.register_uav(info), std::invalid_argument);
-  pf::UavInfo ghost;
-  ghost.name = "ghost";
-  EXPECT_THROW(mgr.register_uav(ghost), std::out_of_range);
-  EXPECT_THROW(mgr.info("ghost"), std::out_of_range);
-}
-
-TEST(UavManager, AppliesConsertActions) {
-  sim::World world(kOrigin);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::UavManager mgr(world);
-  pf::UavInfo info;
-  info.name = "u1";
-  mgr.register_uav(info);
-
-  auto& uav = world.uav_by_name("u1");
+  auto& uav = world.uav(0);
   uav.add_waypoint({50.0, 0.0, 30.0});
   uav.command_takeoff();
   world.run(20, 1.0);
-  ASSERT_EQ(uav.mode(), sim::FlightMode::kMission);
-
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kHold));
-  EXPECT_EQ(uav.mode(), sim::FlightMode::kHold);
-  EXPECT_EQ(mgr.last_action("u1"), cs::UavAction::kHold);
-
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kContinue));
-  EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
-
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kEmergencyLand));
-  EXPECT_EQ(uav.mode(), sim::FlightMode::kEmergencyLand);
-  EXPECT_FALSE(mgr.last_action("u2").has_value());
+  return uav;
 }
 
-TEST(TaskManager, ServicesRegistryAndPlanning) {
-  pf::TaskManager tm;
-  ASSERT_EQ(tm.services().size(), 1u);
-  EXPECT_EQ(tm.services()[0], "boustrophedon");
-  const auto plans =
-      tm.plan("boustrophedon", {0, 100, 0, 100}, 2, sesame::sar::CoverageConfig{});
-  EXPECT_EQ(plans.size(), 2u);
-  EXPECT_THROW(tm.plan("nope", {0, 100, 0, 100}, 2, {}), std::out_of_range);
-  EXPECT_THROW(tm.register_service("bad", nullptr), std::invalid_argument);
-  tm.register_service("custom", [](const sesame::sar::Area& a, std::size_t n,
-                                   const sesame::sar::CoverageConfig& c) {
-    return sesame::sar::plan_coverage(a, n, c);
-  });
-  EXPECT_EQ(tm.services().size(), 2u);
+}  // namespace
+
+TEST(ApplyAction, MapsConsertActionsToFlightModes) {
+  sim::World world(kOrigin);
+  auto& uav = flying_uav(world);
+  ASSERT_EQ(uav.mode(), sim::FlightMode::kMission);
+
+  pf::apply_action(uav, cs::UavAction::kHold);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kHold);
+
+  pf::apply_action(uav, cs::UavAction::kContinue);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
+
+  pf::apply_action(uav, cs::UavAction::kEmergencyLand);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kEmergencyLand);
+}
+
+TEST(ApplyAction, ReturnToBaseIsNotUndoneByContinue) {
+  sim::World world(kOrigin);
+  auto& uav = flying_uav(world);
+  ASSERT_EQ(uav.mode(), sim::FlightMode::kMission);
+
+  pf::apply_action(uav, cs::UavAction::kReturnToBase);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kReturnToBase);
+  // Continue only resumes a held vehicle: a recalled one stays recalled.
+  pf::apply_action(uav, cs::UavAction::kContinue);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kReturnToBase);
+  pf::apply_action(uav, cs::UavAction::kContinueExtended);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kReturnToBase);
+}
+
+TEST(ApplyAction, ContinueResumesHeldAndLeavesFlyingVehicleAlone) {
+  sim::World world(kOrigin);
+  auto& uav = flying_uav(world);
+  ASSERT_EQ(uav.mode(), sim::FlightMode::kMission);
+
+  pf::apply_action(uav, cs::UavAction::kContinue);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
+  pf::apply_action(uav, cs::UavAction::kContinueExtended);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
+
+  pf::apply_action(uav, cs::UavAction::kHold);
+  ASSERT_EQ(uav.mode(), sim::FlightMode::kHold);
+  pf::apply_action(uav, cs::UavAction::kContinueExtended);
+  EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
 }
 
 TEST(MissionRunner, ValidatesConfig) {

@@ -5,6 +5,7 @@
 // platform.
 //
 // Run: ./build/examples/fleet_dashboard
+#include <algorithm>
 #include <cstdio>
 
 #include "sesame/eddi/consert_ode.hpp"
@@ -64,21 +65,30 @@ int main() {
               result.detection.persons_found, result.detection.persons_total,
               100.0 * result.availability);
 
-  std::printf(" %-6s %-10s %-7s %-9s %-10s %-22s %s\n", "UAV", "lat", "lon",
-              "alt (m)", "battery", "mode", "last action");
+  // Rows show the last telemetry received; the link column says whether
+  // that is current, or the vehicle went silent or was written off.
+  std::printf(" %-6s %-10s %-7s %-9s %-8s %-9s %-13s %s\n", "UAV", "lat",
+              "lon", "alt (m)", "battery", "mode", "link", "last action");
   for (const auto& name : runner.uav_names()) {
     const auto latest = db.latest("web_gui", name);
     if (!latest) continue;
     const auto& series = result.series.at(name);
+    const bool lost = std::ranges::find(result.uavs_lost, name) !=
+                      result.uavs_lost.end();
     char battery[16];
     std::snprintf(battery, sizeof battery, "%.0f%%",
                   100.0 * latest->battery_soc);
-    std::printf(" %-6s %-10.5f %-7.4f %-9.1f %-10s %-22s %s\n", name.c_str(),
-                latest->reported_position.lat_deg,
+    std::printf(" %-6s %-10.5f %-7.4f %-9.1f %-8s %-9s %-13s %s\n",
+                name.c_str(), latest->reported_position.lat_deg,
                 latest->reported_position.lon_deg, latest->altitude_m, battery,
                 sim::flight_mode_name(latest->mode).c_str(),
+                platform::link_status(lost,
+                                      result.total_time_s - latest->time_s)
+                    .c_str(),
                 conserts::uav_action_name(series.back().action).c_str());
   }
+  std::printf(" (mode: last reported; link: live, silent <age>, or LOST ="
+              " written off by recovery)\n");
 
   // Per-UAV availability (the Fig. 5 metric, per vehicle).
   std::printf("\n per-UAV availability:\n");
@@ -88,7 +98,8 @@ int main() {
   }
 
   // GCS live status view (what the web GUI renders).
-  std::printf("\n%s", gcs.render_status().c_str());
+  std::printf("\n%s",
+              gcs.render_status(result.total_time_s, result.uavs_lost).c_str());
 
   // Operational event log (last ten entries).
   std::printf("\n event log (tail):\n");

@@ -213,6 +213,18 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
   std::vector<obs::MemorySink> traces(config.trace != nullptr ? config.runs
                                                               : 0);
 
+  // Design-time EDDI assets: built once, before the pool, and shared
+  // read-only by every run (config_for_run changes no design input).
+  std::shared_ptr<const platform::DesignAssets> design;
+  double design_seconds = 0.0;
+  if (factory.base().sesame_enabled) {
+    const auto t0 = std::chrono::steady_clock::now();
+    design = platform::build_design_assets(factory.base());
+    design_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+  }
+
   const bool attack_scheduled = factory.base().spoofing.has_value();
   const double attack_time_s =
       attack_scheduled ? factory.base().spoofing->time_s : 0.0;
@@ -237,7 +249,7 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
       }
       try {
         const std::uint64_t seed = derive_run_seed(config.seed, i);
-        auto runner = factory.make_runner(config.seed, i);
+        auto runner = factory.make_runner(config.seed, i, design);
         obs::Observability o;
         if (config.trace != nullptr) o.tracer.set_sink(&traces[i]);
         if (config.collect_metrics || config.trace != nullptr) {
@@ -308,6 +320,10 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
       if (!completed[i]) continue;
       merged.merge(snapshots[i], i + 1);
+    }
+    if (design) {
+      merged.histogram("sesame.campaign.design_assets_seconds")
+          .observe(design_seconds);
     }
     result.metrics = merged.snapshot();
   }

@@ -105,9 +105,10 @@ platform::RunnerConfig ScenarioFactory::config_for_run(
 }
 
 std::unique_ptr<platform::MissionRunner> ScenarioFactory::make_runner(
-    std::uint64_t campaign_seed, std::uint64_t run_index) const {
+    std::uint64_t campaign_seed, std::uint64_t run_index,
+    std::shared_ptr<const platform::DesignAssets> design) const {
   return std::make_unique<platform::MissionRunner>(
-      config_for_run(campaign_seed, run_index));
+      config_for_run(campaign_seed, run_index), std::move(design));
 }
 
 }  // namespace sesame::campaign

@@ -63,6 +63,9 @@ class Mlp {
   double accuracy(const std::vector<std::vector<double>>& inputs,
                   const std::vector<std::vector<double>>& targets) const;
 
+  /// Same layer sizes, weights and biases.
+  bool operator==(const Mlp&) const = default;
+
  private:
   std::vector<std::size_t> layer_sizes_;
   std::vector<mathx::Matrix> weights_;        // weights_[l]: out x in

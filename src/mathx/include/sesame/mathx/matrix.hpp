@@ -48,6 +48,9 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Same shape and equal elements.
+  bool operator==(const Matrix&) const = default;
+
   /// Bounds-checked access; throws std::out_of_range.
   double& at(std::size_t r, std::size_t c);
   double at(std::size_t r, std::size_t c) const;

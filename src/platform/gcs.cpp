@@ -1,5 +1,7 @@
 #include "sesame/platform/gcs.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 namespace sesame::platform {
@@ -84,22 +86,33 @@ std::vector<GcsEvent> GroundControlStation::events_of(
   return out;
 }
 
-std::string GroundControlStation::render_status() const {
+std::string link_status(bool lost, double telemetry_age_s) {
+  if (lost) return "LOST";
+  if (telemetry_age_s <= 5.0) return "live";
+  char cell[48];
+  std::snprintf(cell, sizeof cell, "silent %.0f s", telemetry_age_s);
+  return cell;
+}
+
+std::string GroundControlStation::render_status(
+    double now_s, const std::vector<std::string>& lost) const {
   std::ostringstream os;
-  os << "UAV      LAT        LON        ALT(m)  BATT  GPS  MODE\n";
+  os << "UAV      LAT        LON        ALT(m)  BATT  GPS  MODE        LINK\n";
   for (const auto& name : watched_) {
     const auto latest = database_->latest(client_id_, name);
     if (!latest.has_value()) {
       os << name << "  (no telemetry)\n";
       continue;
     }
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "%-8s %-10.5f %-10.5f %-7.1f %3.0f%%  %-4s %s\n",
-                  name.c_str(), latest->reported_position.lat_deg,
-                  latest->reported_position.lon_deg, latest->altitude_m,
-                  100.0 * latest->battery_soc, latest->gps_fix ? "ok" : "LOST",
-                  sim::flight_mode_name(latest->mode).c_str());
+    const bool is_lost = std::find(lost.begin(), lost.end(), name) != lost.end();
+    char line[200];
+    std::snprintf(
+        line, sizeof line, "%-8s %-10.5f %-10.5f %-7.1f %3.0f%%  %-4s %-11s %s\n",
+        name.c_str(), latest->reported_position.lat_deg,
+        latest->reported_position.lon_deg, latest->altitude_m,
+        100.0 * latest->battery_soc, latest->gps_fix ? "ok" : "LOST",
+        sim::flight_mode_name(latest->mode).c_str(),
+        link_status(is_lost, now_s - latest->time_s).c_str());
     os << line;
   }
   return os.str();

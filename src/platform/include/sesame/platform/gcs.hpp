@@ -32,6 +32,13 @@ struct GcsConfig {
   std::size_t event_limit = 10000;
 };
 
+/// The LINK cell of a fleet-status row: "LOST" for a vehicle the recovery
+/// escalation wrote off, "silent <age> s" when its newest telemetry is
+/// more than 5 s old (the runner's default staleness window), else
+/// "live". Rows that are not live show the last mode the vehicle
+/// reported, not its current one.
+std::string link_status(bool lost, double telemetry_age_s);
+
 class GroundControlStation {
  public:
   /// Attaches to the bus and registers itself as a database client named
@@ -51,9 +58,12 @@ class GroundControlStation {
   /// Events of one category (copy).
   std::vector<GcsEvent> events_of(const std::string& category) const;
 
-  /// Renders the current fleet status as a fixed-width text table (the
-  /// web-GUI view): one row per watched UAV with position, battery, mode.
-  std::string render_status() const;
+  /// Renders the fleet status at mission time `now_s` as a fixed-width
+  /// text table (the web-GUI view): one row per watched UAV with position,
+  /// battery, last reported mode and its link_status (`lost` names the
+  /// vehicles recovery declared lost).
+  std::string render_status(double now_s,
+                            const std::vector<std::string>& lost = {}) const;
 
  private:
   mw::Bus* bus_;

@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "sesame/geo/geodesy.hpp"
-#include "sesame/safeml/calibration.hpp"
 #include "sesame/security/attack_tree.hpp"
 
 namespace sesame::platform {
@@ -45,8 +44,14 @@ void apply_action(sim::Uav& uav, conserts::UavAction action) {
   }
 }
 
-MissionRunner::MissionRunner(RunnerConfig config) : config_(std::move(config)) {
+MissionRunner::MissionRunner(RunnerConfig config,
+                             std::shared_ptr<const DesignAssets> design)
+    : config_(std::move(config)), design_(std::move(design)) {
   if (config_.n_uavs == 0) throw std::invalid_argument("MissionRunner: no UAVs");
+  if (design_ && design_->inputs != design_inputs(config_)) {
+    throw std::invalid_argument(
+        "MissionRunner: design assets were built for another config");
+  }
   if (config_.dt_s <= 0.0 || config_.max_time_s <= 0.0 ||
       config_.consert_period_s <= 0.0 ||
       config_.telemetry_staleness_window_s <= 0.0 ||
@@ -305,22 +310,6 @@ double MissionRunner::telemetry_staleness_s(const std::string& name) const {
   return staleness_s(world_->uav_by_name(name).fleet_index());
 }
 
-std::vector<std::vector<double>> MissionRunner::collect_safeml_reference() {
-  // Training-time reference: frame features captured across the validated
-  // low-altitude band (the detector's training domain). A single-altitude
-  // reference would make SafeML flag a 2 m altitude change as drift.
-  const auto& detector = mission_->detector();
-  std::vector<std::vector<double>> reference(
-      perception::FrameFeatures::kNumFeatures);
-  for (int i = 0; i < 400; ++i) {
-    const double alt = world_->rng().uniform(0.7 * config_.descend_altitude_m,
-                                             1.6 * config_.descend_altitude_m);
-    const auto v = detector.frame_features(alt, world_->rng()).as_vector();
-    for (std::size_t k = 0; k < v.size(); ++k) reference[k].push_back(v[k]);
-  }
-  return reference;
-}
-
 void MissionRunner::setup_sesame() {
   // IDS + Security EDDI watching the fix channels.
   ids_ = std::make_unique<security::IntrusionDetectionSystem>(world_->bus());
@@ -344,95 +333,20 @@ void MissionRunner::setup_sesame() {
         if (it != fix_topic_uav.end()) compromised_[it->second] = 1;
       });
 
-  auto reference = collect_safeml_reference();
-
-  // The platform deployment pins the Wasserstein measure: KS saturates at
-  // 1.0, which leaves too little contrast between the band-internal
-  // variation of clean flight and a genuine altitude-regime shift. The
-  // scale is calibrated below, so the measure's units cancel out.
-  config_.eddi.safeml.measure = safeml::Measure::kWasserstein;
-  // Confidence bands for the calibrated scale: clean single-altitude
-  // windows sit ~p95 (-> confidence 0.6, classified High); the
-  // high-altitude regime lands several band-widths out (-> near 0).
-  config_.eddi.safeml.high_threshold = 0.60;
-  config_.eddi.safeml.low_threshold = 0.30;
-
-  // Design-time SafeML calibration: runtime windows come from a *single*
-  // altitude at a time while the reference spans the validated band, so
-  // the no-drift self-distance is nonzero. Size full_scale from the p95
-  // self-distance of single-altitude windows inside the band, exactly as
-  // a deployment would calibrate against held-out validation flights.
-  config_.eddi.safeml =
-      safeml::calibrate_monitor(
-          config_.eddi.safeml, reference, 60,
-          [this](std::vector<std::vector<double>>& window) {
-            const double alt =
-                world_->rng().uniform(0.8 * config_.descend_altitude_m,
-                                      1.4 * config_.descend_altitude_m);
-            for (std::size_t i = 0; i < config_.eddi.safeml.window; ++i) {
-              const auto v = mission_->detector()
-                                 .frame_features(alt, world_->rng())
-                                 .as_vector();
-              for (std::size_t k = 0; k < v.size(); ++k) {
-                window[k].push_back(v[k]);
-              }
-            }
-          })
-          .config;
-
-  // DeepKnowledge design-time assets: a small detector-verifier MLP trained
-  // on low-altitude detection features, analyzed against the high-altitude
-  // (shifted) regime. Shared across the fleet (one model per vehicle type).
-  const auto& detector = mission_->detector();
-  std::vector<std::vector<double>> dk_train, dk_targets, dk_shifted;
-  for (int i = 0; i < 200; ++i) {
-    perception::Detection d;
-    d.confidence = world_->rng().uniform(0.6, 0.999);
-    // Training domain: the low-altitude band the detector was validated
-    // at; the shifted domain is the high-altitude regime.
-    const double train_alt =
-        world_->rng().uniform(0.7 * config_.descend_altitude_m,
-                              1.6 * config_.descend_altitude_m);
-    dk_train.push_back(detector.detection_features(d, train_alt, world_->rng()));
-    dk_targets.push_back({1.0});
-    d.confidence = world_->rng().uniform(0.2, 0.9);
-    dk_shifted.push_back(detector.detection_features(
-        d, world_->rng().uniform(50.0, 75.0), world_->rng()));
-  }
-  auto dk_model = std::make_shared<deepknowledge::Mlp>(
-      std::vector<std::size_t>{perception::PersonDetector::kDetectionFeatureCount,
-                               8, 1},
-      world_->rng());
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    dk_model->train_epoch(dk_train, dk_targets, 0.05, world_->rng());
-  }
-  auto dk_analyzer = std::make_shared<deepknowledge::Analyzer>(
-      *dk_model, dk_train, dk_shifted);
-
-  // DK in-domain baseline: coverage uncertainty of single-altitude windows
-  // inside the validated band (mirrors the SafeML calibration above).
-  {
-    double acc = 0.0;
-    const int trials = 20;
-    for (int trial = 0; trial < trials; ++trial) {
-      const double alt = world_->rng().uniform(
-          0.8 * config_.descend_altitude_m, 1.4 * config_.descend_altitude_m);
-      std::vector<std::vector<double>> window;
-      for (int i = 0; i < 16; ++i) {
-        perception::Detection d;
-        d.confidence = std::clamp(
-            world_->rng().normal(detector.detection_probability(alt), 0.08),
-            0.01, 0.999);
-        window.push_back(detector.detection_features(d, alt, world_->rng()));
-      }
-      acc += dk_analyzer->assess(*dk_model, window).uncertainty;
-    }
-    config_.eddi.dk_uncertainty_baseline = acc / trials;
-  }
+  if (!design_) design_ = build_design_assets(config_);
+  config_.eddi.safeml = design_->safeml;
+  config_.eddi.dk_uncertainty_baseline = design_->dk_uncertainty_baseline;
+  // Aliasing handles: every vehicle shares the one model and analyzer, and
+  // each keeps the whole asset bundle alive.
+  const std::shared_ptr<const deepknowledge::Mlp> dk_model(
+      design_, &design_->dk_model);
+  const std::shared_ptr<const deepknowledge::Analyzer> dk_analyzer(
+      design_, &design_->dk_analyzer);
 
   eddis_.reserve(names_.size());
   for (const auto& name : names_) {
-    auto e = std::make_unique<eddi::UavEddi>(name, config_.eddi, reference);
+    auto e = std::make_unique<eddi::UavEddi>(name, config_.eddi,
+                                             design_->safeml_reference);
     e->attach_security(security_);
     e->attach_deepknowledge(dk_model, dk_analyzer, 16);
     eddis_.push_back(std::move(e));

@@ -501,3 +501,59 @@ TEST(Campaign, SingleRunMetricsMatchDirectRun) {
   EXPECT_EQ(without_wall_clock(campaign_text),
             without_wall_clock(o.metrics.render_prometheus()));
 }
+
+// A campaign shares one design-time asset bundle across its runs; a runner
+// built on its own builds its own. Both must fly the same run: every SESAME
+// preset's runs 0 and 1, under two workers, against hand-built runners.
+TEST(Campaign, EveryRunMatchesItsDirectRunForEverySesamePreset) {
+  for (const std::string preset :
+       {"nominal", "battery_fault", "spoofing", "spoofing_lossy", "chaos"}) {
+    const auto factory = campaign::ScenarioFactory::preset(preset);
+    ASSERT_TRUE(factory.base().sesame_enabled) << preset;
+    campaign::CampaignConfig config;
+    config.runs = 2;
+    config.jobs = 2;
+    config.seed = 7;
+    // Workers write distinct slots; run_campaign joins before returning.
+    std::vector<std::string> run_metrics(config.runs);
+    config.on_run_complete = [&](const campaign::RunOutcome& o,
+                                 const sesame::obs::MetricsSnapshot* s) {
+      run_metrics[o.run_index] = sesame::obs::render_prometheus(*s);
+    };
+    const auto result = campaign::run_campaign(factory, config);
+    ASSERT_EQ(result.outcomes.size(), config.runs);
+    ASSERT_NE(result.metrics.find("sesame.campaign.design_assets_seconds"),
+              nullptr)
+        << preset;
+
+    for (std::uint64_t i = 0; i < config.runs; ++i) {
+      sesame::obs::Observability o;
+      platform::MissionRunner runner(factory.config_for_run(7, i));
+      runner.attach_observability(o);
+      const auto direct = runner.run();
+      EXPECT_EQ(without_wall_clock(run_metrics[i]),
+                without_wall_clock(o.metrics.render_prometheus()))
+          << preset << " run " << i;
+
+      const auto outcome = campaign::extract_outcome(
+          i, campaign::derive_run_seed(7, i), direct, runner.world().bus(),
+          factory.base().spoofing.has_value(),
+          factory.base().spoofing ? factory.base().spoofing->time_s : 0.0);
+      campaign::CampaignResult one;
+      one.outcomes = {outcome};
+      campaign::CampaignResult from_campaign;
+      from_campaign.outcomes = {result.outcomes[i]};
+      EXPECT_EQ(campaign::campaign_json(one),
+                campaign::campaign_json(from_campaign))
+          << preset << " run " << i;
+
+      // make_runner on its own builds its own assets: same run again.
+      const auto standalone = factory.make_runner(7, i)->run();
+      EXPECT_EQ(standalone.total_time_s, direct.total_time_s)
+          << preset << " run " << i;
+      EXPECT_EQ(standalone.assurance_trace.size(),
+                direct.assurance_trace.size())
+          << preset << " run " << i;
+    }
+  }
+}

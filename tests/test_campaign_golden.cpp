@@ -4,8 +4,9 @@
 // --json writes) is pinned as an FNV-1a 64 digest for a fixed campaign
 // seed, at one and at four workers. Any change to a monitor, the mission
 // loop, the bus or the report writer that moves a single report byte fails
-// here. The digests were recorded before the incremental EDDI monitors
-// landed, so they also pin those monitors to the batch verdicts. A second
+// here. The digests were first recorded before the incremental EDDI
+// monitors landed, so they pinned those monitors to the batch verdicts;
+// the SESAME presets' were re-pinned once since (see kGolden). A second
 // digest covers the same report with its `metrics` section emptied: the
 // outcome bytes (campaign, summary and runs). A change that only moves
 // instrumentation counters re-pins the first digest and leaves the second
@@ -100,13 +101,21 @@ constexpr std::uint64_t kSeed = 7;
 // sesame.mw.deliver_total{topic="uav/<name>/telemetry"} sample is half its
 // old value. The outcome digests, recorded before that change, did not
 // move.
+//
+// REPORT-COMPAT EXCEPTION (design-time assets): both digests of every
+// SESAME preset (nominal, battery_fault, spoofing, spoofing_lossy, chaos)
+// were re-pinned when the SafeML reference and calibration, the
+// DeepKnowledge MLP and analyzer and the DK baseline moved off the run's
+// world RNG onto the fixed design seed (build_design_assets), built once
+// per campaign. Every later world draw of a SESAME run shifted. baseline
+// draws no design assets and kept both digests.
 constexpr ReportGolden kGolden[] = {
-    {"nominal", 0xe3196f9fa761d56fULL, 0x868ec9e4cbe7bd8eULL},
+    {"nominal", 0xffb1c5963b90c40fULL, 0x06d9daedf23cb7efULL},
     {"baseline", 0x6be820aeedb0ce44ULL, 0x75c5cac65a3939efULL},
-    {"battery_fault", 0x3a7fe47d36ec495fULL, 0x678d7c30e07e3b56ULL},
-    {"spoofing", 0x103adc5a0a15c649ULL, 0x7632aa9d71e75addULL},
-    {"spoofing_lossy", 0xc3abc459003c3552ULL, 0x95fd2e85bbceb530ULL},
-    {"chaos", 0xe413a2cb350592deULL, 0xb116f0a345492222ULL},
+    {"battery_fault", 0xd5f8586e339e1b35ULL, 0x926e0d234b794695ULL},
+    {"spoofing", 0xa2370b5f53a0cbeeULL, 0xf6db419d33199800ULL},
+    {"spoofing_lossy", 0x4af9ab215659ef27ULL, 0x6b0581c13a563c08ULL},
+    {"chaos", 0x86055266bfe561cbULL, 0x5391e78535c9764aULL},
 };
 
 campaign::CampaignResult campaign_for(const std::string& preset,
@@ -166,9 +175,12 @@ std::uint64_t tick_digest(const std::string& preset) {
   return d.value();
 }
 
+// REPORT-COMPAT EXCEPTION (design-time assets): both re-pinned when the
+// design-time EDDI assets left the run's world RNG for the fixed design
+// seed (see kGolden).
 constexpr Golden kTickGolden[] = {
-    {"spoofing", 0x557db840b2993628ULL},
-    {"battery_fault", 0x8a642da5f19482a4ULL},
+    {"spoofing", 0x2ff79ba59d1e27c3ULL},
+    {"battery_fault", 0x1404d708013e9c79ULL},
 };
 
 class GoldenTicks : public ::testing::TestWithParam<Golden> {};

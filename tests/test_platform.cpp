@@ -1,9 +1,13 @@
 // Tests for the multi-UAV platform: database manager access control, the
 // ConSert action mapping (apply_action), and MissionRunner end-to-end scenarios (nominal,
 // battery fault with/without SESAME).
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "sesame/platform/database.hpp"
+#include "sesame/platform/design_assets.hpp"
 #include "sesame/platform/gcs.hpp"
 #include "sesame/security/attack_tree.hpp"
 #include "sesame/security/ids.hpp"
@@ -170,6 +174,70 @@ TEST(MissionRunner, ValidatesConfig) {
   cfg = small_scenario();
   cfg.dt_s = 0.0;
   EXPECT_THROW(pf::MissionRunner{cfg}, std::invalid_argument);
+}
+
+// Design-time EDDI assets are a pure function of the config fields they
+// read: two builds agree bit for bit, whatever the run seed.
+TEST(DesignAssets, BuildIsAPureFunctionOfItsInputs) {
+  pf::RunnerConfig cfg = small_scenario();
+  const auto a = pf::build_design_assets(cfg);
+  cfg.seed = 12345;
+  const auto b = pf::build_design_assets(cfg);
+  ASSERT_NE(a, b);
+  EXPECT_EQ(a->inputs, b->inputs);
+  EXPECT_EQ(a->inputs, pf::design_inputs(cfg));
+  EXPECT_EQ(a->dk_model, b->dk_model);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a->safeml.full_scale),
+            std::bit_cast<std::uint64_t>(b->safeml.full_scale));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a->dk_uncertainty_baseline),
+            std::bit_cast<std::uint64_t>(b->dk_uncertainty_baseline));
+  EXPECT_EQ(a->safeml_reference, b->safeml_reference);
+  EXPECT_EQ(a->safeml.measure, sesame::safeml::Measure::kWasserstein);
+  EXPECT_EQ(a->safeml.window, cfg.eddi.safeml.window);
+  EXPECT_GT(a->safeml.full_scale, 0.0);
+
+  // A field the build reads does change the assets.
+  cfg.descend_altitude_m = 15.0;
+  const auto c = pf::build_design_assets(cfg);
+  EXPECT_NE(c->inputs, a->inputs);
+  EXPECT_NE(c->safeml_reference, a->safeml_reference);
+}
+
+TEST(DesignAssets, RunnerRejectsAssetsBuiltForAnotherConfig) {
+  pf::RunnerConfig cfg = small_scenario();
+  cfg.sesame_enabled = true;
+  pf::RunnerConfig other = cfg;
+  other.descend_altitude_m = 15.0;
+  const auto foreign = pf::build_design_assets(other);
+  EXPECT_THROW((pf::MissionRunner{cfg, foreign}), std::invalid_argument);
+  other = cfg;
+  other.eddi.safeml.window = cfg.eddi.safeml.window / 2;
+  EXPECT_THROW((pf::MissionRunner{cfg, pf::build_design_assets(other)}),
+               std::invalid_argument);
+  // Any other field may differ: the seed is not a design input.
+  other = cfg;
+  other.seed = cfg.seed + 1;
+  EXPECT_NO_THROW((pf::MissionRunner{cfg, pf::build_design_assets(other)}));
+}
+
+TEST(DesignAssets, SharedAssetsFlyTheSameRunAsOwnOnes) {
+  pf::RunnerConfig cfg = small_scenario();
+  cfg.sesame_enabled = true;
+  const auto own = pf::MissionRunner(cfg).run();
+  const auto shared =
+      pf::MissionRunner(cfg, pf::build_design_assets(cfg)).run();
+  EXPECT_EQ(own.total_time_s, shared.total_time_s);
+  ASSERT_EQ(own.series.size(), shared.series.size());
+  for (const auto& [name, series] : own.series) {
+    const auto& other = shared.series.at(name);
+    ASSERT_EQ(series.size(), other.size()) << name;
+    for (std::size_t t = 0; t < series.size(); ++t) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(series[t].p_fail),
+                std::bit_cast<std::uint64_t>(other[t].p_fail));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(series[t].sar_uncertainty),
+                std::bit_cast<std::uint64_t>(other[t].sar_uncertainty));
+    }
+  }
 }
 
 TEST(MissionRunner, NominalMissionCompletesWithSesame) {
@@ -348,11 +416,45 @@ TEST(Gcs, RendersStatusTable) {
   gcs.watch_uav("u2");
   world.uav_by_name("u1").command_takeoff();
   world.run(5, 1.0);
-  const std::string status = gcs.render_status();
+  const std::string status = gcs.render_status(world.time_s());
   EXPECT_NE(status.find("u1"), std::string::npos);
   EXPECT_NE(status.find("u2"), std::string::npos);
   EXPECT_NE(status.find("Takeoff"), std::string::npos);
   EXPECT_NE(status.find("Idle"), std::string::npos);
+  EXPECT_NE(status.find("live"), std::string::npos);
+}
+
+// A vehicle that stopped reporting, or that recovery wrote off, is not
+// shown as live: its row keeps the last reported mode but says so.
+TEST(Gcs, StatusMarksSilentAndLostVehicles) {
+  sim::World world(kOrigin);
+  for (const char* n : {"u1", "u2"}) {
+    sim::UavConfig uc;
+    uc.name = n;
+    world.add_uav(uc, kOrigin);
+  }
+  pf::DatabaseManager db(world.bus());
+  pf::GroundControlStation gcs(world.bus(), db);
+  gcs.watch_uav("u1");
+  gcs.watch_uav("u2");
+  world.run(5, 1.0);
+  const double last_s = world.time_s();
+
+  const auto row = [](const std::string& status, const std::string& uav) {
+    const auto at = status.find("\n" + uav + " ");
+    EXPECT_NE(at, std::string::npos) << uav;
+    return status.substr(at + 1, status.find('\n', at + 1) - at - 1);
+  };
+  EXPECT_NE(row(gcs.render_status(last_s), "u2").find("live"),
+            std::string::npos);
+  const std::string later = gcs.render_status(last_s + 60.0, {"u2"});
+  EXPECT_NE(row(later, "u1").find("silent 60 s"), std::string::npos);
+  EXPECT_NE(row(later, "u2").find("LOST"), std::string::npos);
+  EXPECT_EQ(row(later, "u2").find("live"), std::string::npos);
+
+  EXPECT_EQ(pf::link_status(false, 5.0), "live");
+  EXPECT_EQ(pf::link_status(false, 12.4), "silent 12 s");
+  EXPECT_EQ(pf::link_status(true, 0.0), "LOST");
 }
 
 TEST(Gcs, OperatorNotesAndEventLimit) {

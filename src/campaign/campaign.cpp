@@ -12,6 +12,7 @@
 #include "sesame/mathx/stats.hpp"
 #include "sesame/obs/observability.hpp"
 #include "sesame/obs/sinks.hpp"
+#include "sesame/platform/design_assets.hpp"
 
 namespace sesame::campaign {
 
@@ -213,13 +214,14 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
   std::vector<obs::MemorySink> traces(config.trace != nullptr ? config.runs
                                                               : 0);
 
-  // Design-time EDDI assets: built once, before the pool, and shared
-  // read-only by every run (config_for_run changes no design input).
-  std::shared_ptr<const platform::DesignAssets> design;
+  // Design-time EDDI assets: one library lookup before the pool, so the
+  // runs find them ready (config_for_run changes no design input). The
+  // wait is microseconds on a hit and milliseconds on a build.
+  const bool sesame = factory.base().sesame_enabled;
   double design_seconds = 0.0;
-  if (factory.base().sesame_enabled) {
+  if (sesame) {
     const auto t0 = std::chrono::steady_clock::now();
-    design = platform::build_design_assets(factory.base());
+    platform::design_library().get(factory.base());
     design_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -249,7 +251,7 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
       }
       try {
         const std::uint64_t seed = derive_run_seed(config.seed, i);
-        auto runner = factory.make_runner(config.seed, i, design);
+        auto runner = factory.make_runner(config.seed, i);
         obs::Observability o;
         if (config.trace != nullptr) o.tracer.set_sink(&traces[i]);
         if (config.collect_metrics || config.trace != nullptr) {
@@ -321,7 +323,7 @@ CampaignResult run_campaign(const ScenarioFactory& factory,
       if (!completed[i]) continue;
       merged.merge(snapshots[i], i + 1);
     }
-    if (design) {
+    if (sesame) {
       merged.histogram("sesame.campaign.design_assets_seconds")
           .observe(design_seconds);
     }

@@ -76,12 +76,11 @@ class ScenarioFactory {
   /// Constructs the fully wired runner for one campaign run. Each call
   /// builds an isolated stack (bus + world + mission + monitors); runners
   /// from different calls share no mutable state, so they may execute on
-  /// different threads concurrently. `design` is the campaign's read-only
-  /// design-time asset bundle (null: the runner builds its own, with the
-  /// same result).
+  /// different threads concurrently. The only thing they share is the
+  /// read-only design-time asset bundle from the process-wide
+  /// platform::DesignLibrary.
   std::unique_ptr<platform::MissionRunner> make_runner(
-      std::uint64_t campaign_seed, std::uint64_t run_index,
-      std::shared_ptr<const platform::DesignAssets> design = {}) const;
+      std::uint64_t campaign_seed, std::uint64_t run_index) const;
 
  private:
   platform::RunnerConfig base_;

@@ -105,10 +105,9 @@ platform::RunnerConfig ScenarioFactory::config_for_run(
 }
 
 std::unique_ptr<platform::MissionRunner> ScenarioFactory::make_runner(
-    std::uint64_t campaign_seed, std::uint64_t run_index,
-    std::shared_ptr<const platform::DesignAssets> design) const {
+    std::uint64_t campaign_seed, std::uint64_t run_index) const {
   return std::make_unique<platform::MissionRunner>(
-      config_for_run(campaign_seed, run_index), std::move(design));
+      config_for_run(campaign_seed, run_index));
 }
 
 }  // namespace sesame::campaign

@@ -1,6 +1,7 @@
 #include "sesame/platform/design_assets.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "sesame/perception/detector.hpp"
@@ -15,6 +16,12 @@ namespace {
 // seed or draws: runs of any campaign seed share one design.
 constexpr std::uint64_t kDesignSalt = 0xDE51D0A55E7DE51DULL;
 }  // namespace
+
+bool DesignInputs::operator==(const DesignInputs& o) const noexcept {
+  return std::bit_cast<std::uint64_t>(descend_altitude_m) ==
+             std::bit_cast<std::uint64_t>(o.descend_altitude_m) &&
+         safeml_window == o.safeml_window;
+}
 
 DesignInputs design_inputs(const RunnerConfig& config) {
   return {config.descend_altitude_m, config.eddi.safeml.window};
@@ -112,6 +119,26 @@ std::shared_ptr<const DesignAssets> build_design_assets(
   return std::make_shared<const DesignAssets>(
       DesignAssets{in, std::move(reference), monitor, std::move(model),
                    std::move(analyzer), acc / trials});
+}
+
+std::shared_ptr<const DesignAssets> DesignLibrary::get(
+    const RunnerConfig& config) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!assets_ || assets_->inputs != design_inputs(config)) {
+    ++builds_;
+    assets_ = build_design_assets(config);
+  }
+  return assets_;
+}
+
+std::uint64_t DesignLibrary::builds() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return builds_;
+}
+
+DesignLibrary& design_library() {
+  static DesignLibrary library;
+  return library;
 }
 
 }  // namespace sesame::platform

@@ -29,7 +29,6 @@
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/obs/observability.hpp"
 #include "sesame/localization/collaborative.hpp"
-#include "sesame/platform/design_assets.hpp"
 #include "sesame/platform/invariants.hpp"
 #include "sesame/platform/recovery.hpp"
 #include "sesame/sar/mission.hpp"
@@ -190,13 +189,10 @@ void apply_action(sim::Uav& uav, conserts::UavAction action);
 
 class MissionRunner {
  public:
-  /// `design` holds the design-time EDDI assets of a SESAME run; a
-  /// campaign builds them once and shares them across its runs. When null
-  /// the runner builds its own (build_design_assets), so the run is the
-  /// same either way. Throws std::invalid_argument when `design` was built
-  /// for other DesignInputs than `config`'s.
-  explicit MissionRunner(RunnerConfig config,
-                         std::shared_ptr<const DesignAssets> design = {});
+  /// A SESAME run reads its design-time EDDI assets from the process-wide
+  /// DesignLibrary (design_library().get), so runners with equal
+  /// DesignInputs share one read-only bundle.
+  explicit MissionRunner(RunnerConfig config);
 
   /// Runs the scenario to completion (all UAVs grounded and mission over,
   /// or max_time reached) and returns the recorded outcome.
@@ -249,7 +245,6 @@ class MissionRunner {
   std::vector<geo::EnuPoint> home_enu_;
   std::vector<sar::SweepPlan> plans_;  // parallel to names_
   std::unique_ptr<sar::SarMission> mission_;
-  std::shared_ptr<const DesignAssets> design_;  // SESAME runs; read-only
   std::unique_ptr<security::IntrusionDetectionSystem> ids_;
   std::shared_ptr<security::SecurityEddi> security_;
   std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;  // parallel to names_

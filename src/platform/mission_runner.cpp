@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "sesame/geo/geodesy.hpp"
+#include "sesame/platform/design_assets.hpp"
 #include "sesame/security/attack_tree.hpp"
 
 namespace sesame::platform {
@@ -44,14 +45,9 @@ void apply_action(sim::Uav& uav, conserts::UavAction action) {
   }
 }
 
-MissionRunner::MissionRunner(RunnerConfig config,
-                             std::shared_ptr<const DesignAssets> design)
-    : config_(std::move(config)), design_(std::move(design)) {
+MissionRunner::MissionRunner(RunnerConfig config)
+    : config_(std::move(config)) {
   if (config_.n_uavs == 0) throw std::invalid_argument("MissionRunner: no UAVs");
-  if (design_ && design_->inputs != design_inputs(config_)) {
-    throw std::invalid_argument(
-        "MissionRunner: design assets were built for another config");
-  }
   if (config_.dt_s <= 0.0 || config_.max_time_s <= 0.0 ||
       config_.consert_period_s <= 0.0 ||
       config_.telemetry_staleness_window_s <= 0.0 ||
@@ -333,20 +329,21 @@ void MissionRunner::setup_sesame() {
         if (it != fix_topic_uav.end()) compromised_[it->second] = 1;
       });
 
-  if (!design_) design_ = build_design_assets(config_);
-  config_.eddi.safeml = design_->safeml;
-  config_.eddi.dk_uncertainty_baseline = design_->dk_uncertainty_baseline;
+  const std::shared_ptr<const DesignAssets> design =
+      design_library().get(config_);
+  config_.eddi.safeml = design->safeml;
+  config_.eddi.dk_uncertainty_baseline = design->dk_uncertainty_baseline;
   // Aliasing handles: every vehicle shares the one model and analyzer, and
   // each keeps the whole asset bundle alive.
   const std::shared_ptr<const deepknowledge::Mlp> dk_model(
-      design_, &design_->dk_model);
+      design, &design->dk_model);
   const std::shared_ptr<const deepknowledge::Analyzer> dk_analyzer(
-      design_, &design_->dk_analyzer);
+      design, &design->dk_analyzer);
 
   eddis_.reserve(names_.size());
   for (const auto& name : names_) {
     auto e = std::make_unique<eddi::UavEddi>(name, config_.eddi,
-                                             design_->safeml_reference);
+                                             design->safeml_reference);
     e->attach_security(security_);
     e->attach_deepknowledge(dk_model, dk_analyzer, 16);
     eddis_.push_back(std::move(e));

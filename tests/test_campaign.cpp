@@ -502,9 +502,12 @@ TEST(Campaign, SingleRunMetricsMatchDirectRun) {
             without_wall_clock(o.metrics.render_prometheus()));
 }
 
-// A campaign shares one design-time asset bundle across its runs; a runner
-// built on its own builds its own. Both must fly the same run: every SESAME
-// preset's runs 0 and 1, under two workers, against hand-built runners.
+#include "sesame/platform/design_assets.hpp"
+
+// A campaign's runs read the design-time asset bundle the library holds; a
+// hand-built runner after that bundle was replaced reads a fresh build. Both
+// must fly the same run: every SESAME preset's runs 0 and 1, under two
+// workers, against hand-built runners.
 TEST(Campaign, EveryRunMatchesItsDirectRunForEverySesamePreset) {
   for (const std::string preset :
        {"nominal", "battery_fault", "spoofing", "spoofing_lossy", "chaos"}) {
@@ -526,6 +529,12 @@ TEST(Campaign, EveryRunMatchesItsDirectRunForEverySesamePreset) {
               nullptr)
         << preset;
 
+    // Replace the preset's bundle with another design's: the first
+    // hand-built runner rebuilds it, the rest share that build.
+    platform::RunnerConfig other = factory.base();
+    other.descend_altitude_m += 0.25;
+    platform::design_library().get(other);
+    const std::uint64_t builds = platform::design_library().builds();
     for (std::uint64_t i = 0; i < config.runs; ++i) {
       sesame::obs::Observability o;
       platform::MissionRunner runner(factory.config_for_run(7, i));
@@ -547,7 +556,7 @@ TEST(Campaign, EveryRunMatchesItsDirectRunForEverySesamePreset) {
                 campaign::campaign_json(from_campaign))
           << preset << " run " << i;
 
-      // make_runner on its own builds its own assets: same run again.
+      // make_runner outside a campaign: same run again.
       const auto standalone = factory.make_runner(7, i)->run();
       EXPECT_EQ(standalone.total_time_s, direct.total_time_s)
           << preset << " run " << i;
@@ -555,5 +564,6 @@ TEST(Campaign, EveryRunMatchesItsDirectRunForEverySesamePreset) {
                 direct.assurance_trace.size())
           << preset << " run " << i;
     }
+    EXPECT_EQ(platform::design_library().builds(), builds + 1) << preset;
   }
 }

@@ -3,6 +3,10 @@
 // battery fault with/without SESAME).
 #include <bit>
 #include <cstdint>
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -203,39 +207,141 @@ TEST(DesignAssets, BuildIsAPureFunctionOfItsInputs) {
   EXPECT_NE(c->safeml_reference, a->safeml_reference);
 }
 
-TEST(DesignAssets, RunnerRejectsAssetsBuiltForAnotherConfig) {
-  pf::RunnerConfig cfg = small_scenario();
-  cfg.sesame_enabled = true;
-  pf::RunnerConfig other = cfg;
-  other.descend_altitude_m = 15.0;
-  const auto foreign = pf::build_design_assets(other);
-  EXPECT_THROW((pf::MissionRunner{cfg, foreign}), std::invalid_argument);
-  other = cfg;
-  other.eddi.safeml.window = cfg.eddi.safeml.window / 2;
-  EXPECT_THROW((pf::MissionRunner{cfg, pf::build_design_assets(other)}),
-               std::invalid_argument);
-  // Any other field may differ: the seed is not a design input.
-  other = cfg;
-  other.seed = cfg.seed + 1;
-  EXPECT_NO_THROW((pf::MissionRunner{cfg, pf::build_design_assets(other)}));
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Field-by-field equality of two bundles, down to the bits.
+void expect_same_assets(const pf::DesignAssets& a, const pf::DesignAssets& b) {
+  EXPECT_EQ(a.inputs, b.inputs);
+  EXPECT_EQ(a.safeml_reference, b.safeml_reference);
+  EXPECT_EQ(a.safeml.measure, b.safeml.measure);
+  EXPECT_EQ(a.safeml.window, b.safeml.window);
+  EXPECT_EQ(bits(a.safeml.full_scale), bits(b.safeml.full_scale));
+  EXPECT_EQ(bits(a.safeml.high_threshold), bits(b.safeml.high_threshold));
+  EXPECT_EQ(bits(a.safeml.low_threshold), bits(b.safeml.low_threshold));
+  EXPECT_EQ(a.dk_model, b.dk_model);
+  EXPECT_EQ(bits(a.dk_uncertainty_baseline), bits(b.dk_uncertainty_baseline));
 }
 
-TEST(DesignAssets, SharedAssetsFlyTheSameRunAsOwnOnes) {
+// A config whose only difference from `cfg` is its design, the k-th of a
+// family.
+pf::RunnerConfig other_design(const pf::RunnerConfig& cfg, std::size_t k) {
+  pf::RunnerConfig other = cfg;
+  other.descend_altitude_m = cfg.descend_altitude_m + 0.5 * (k + 1);
+  return other;
+}
+
+}  // namespace
+
+TEST(DesignLibrary, ServesABundleEqualToAFreshBuild) {
+  const pf::RunnerConfig cfg = small_scenario();
+  const auto served = pf::design_library().get(cfg);
+  EXPECT_EQ(served, pf::design_library().get(cfg));
+  expect_same_assets(*served, *pf::build_design_assets(cfg));
+}
+
+TEST(DesignLibrary, ConcurrentFirstRequestsShareOneBuild) {
+  pf::DesignLibrary library;
+  const pf::RunnerConfig cfg = small_scenario();
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const pf::DesignAssets>> got(kThreads);
+  std::latch start(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = library.get(cfg);
+      });
+    }
+  }
+  EXPECT_EQ(library.builds(), 1u);
+  ASSERT_NE(got.front(), nullptr);
+  for (const auto& p : got) EXPECT_EQ(p, got.front());
+}
+
+TEST(DesignLibrary, ReplacesItsBundleOnAMiss) {
+  pf::DesignLibrary library;
+  const pf::RunnerConfig a = other_design(small_scenario(), 0);
+  const pf::RunnerConfig b = other_design(small_scenario(), 1);
+  const auto first = library.get(a);
+  EXPECT_EQ(library.get(a), first);
+  EXPECT_EQ(library.builds(), 1u);
+
+  const auto second = library.get(b);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->inputs, pf::design_inputs(b));
+  EXPECT_EQ(library.builds(), 2u);
+
+  // `a` was replaced: asking again rebuilds it, equal to the bundle its
+  // holder kept alive.
+  const auto again = library.get(a);
+  EXPECT_NE(again, first);
+  EXPECT_EQ(library.builds(), 3u);
+  expect_same_assets(*first, *again);
+  EXPECT_EQ(library.get(a), again);
+  EXPECT_EQ(library.builds(), 3u);
+}
+
+TEST(DesignLibrary, FailedBuildLeavesNoEntry) {
+  pf::DesignLibrary library;
+  const pf::RunnerConfig good = small_scenario();
+  const auto held = library.get(good);
+  pf::RunnerConfig bad = good;
+  bad.eddi.safeml.window = 1;  // calibrate_monitor rejects windows below 2
+  EXPECT_THROW(library.get(bad), std::invalid_argument);
+  EXPECT_THROW(library.get(bad), std::invalid_argument);
+  EXPECT_EQ(library.builds(), 3u);
+  // The failed builds stored nothing, so the last good bundle still serves.
+  EXPECT_EQ(library.get(good), held);
+  EXPECT_EQ(library.builds(), 3u);
+}
+
+// A runner flies with the process-wide bundle for its own design inputs;
+// the seed is not one of them.
+TEST(DesignLibrary, RunnerReadsTheBundleForItsOwnInputs) {
   pf::RunnerConfig cfg = small_scenario();
   cfg.sesame_enabled = true;
-  const auto own = pf::MissionRunner(cfg).run();
-  const auto shared =
-      pf::MissionRunner(cfg, pf::build_design_assets(cfg)).run();
-  EXPECT_EQ(own.total_time_s, shared.total_time_s);
-  ASSERT_EQ(own.series.size(), shared.series.size());
-  for (const auto& [name, series] : own.series) {
-    const auto& other = shared.series.at(name);
+  const pf::MissionRunner runner(cfg);
+  const auto& eddi = runner.uav_eddi(runner.uav_names().front()).config();
+  const auto served = pf::design_library().get(cfg);
+  EXPECT_EQ(bits(eddi.safeml.full_scale), bits(served->safeml.full_scale));
+  EXPECT_EQ(bits(eddi.dk_uncertainty_baseline),
+            bits(served->dk_uncertainty_baseline));
+
+  pf::RunnerConfig reseeded = cfg;
+  reseeded.seed = cfg.seed + 1;
+  EXPECT_EQ(pf::design_library().get(reseeded), served);
+  pf::RunnerConfig other = cfg;
+  other.eddi.safeml.window = cfg.eddi.safeml.window / 2;
+  const auto foreign = pf::design_library().get(other);
+  EXPECT_NE(foreign, served);
+  EXPECT_EQ(foreign->inputs, pf::design_inputs(other));
+}
+
+// A runner keeps its bundle alive after the library evicts it, and flies
+// the same run as a runner whose bundle was built afresh.
+TEST(DesignLibrary, EvictedBundleHeldByALiveRunnerStaysValid) {
+  pf::RunnerConfig cfg = small_scenario();
+  cfg.sesame_enabled = true;
+  pf::MissionRunner held(cfg);
+  pf::DesignLibrary& library = pf::design_library();
+  library.get(other_design(cfg, 0));  // replaces `cfg`'s bundle
+  const std::uint64_t builds = library.builds();
+  const auto evicted = held.run();
+  const auto fresh = pf::MissionRunner(cfg).run();
+  EXPECT_EQ(library.builds(), builds + 1);
+
+  EXPECT_EQ(evicted.total_time_s, fresh.total_time_s);
+  ASSERT_EQ(evicted.series.size(), fresh.series.size());
+  for (const auto& [name, series] : evicted.series) {
+    const auto& other = fresh.series.at(name);
     ASSERT_EQ(series.size(), other.size()) << name;
     for (std::size_t t = 0; t < series.size(); ++t) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(series[t].p_fail),
-                std::bit_cast<std::uint64_t>(other[t].p_fail));
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(series[t].sar_uncertainty),
-                std::bit_cast<std::uint64_t>(other[t].sar_uncertainty));
+      ASSERT_EQ(bits(series[t].p_fail), bits(other[t].p_fail));
+      ASSERT_EQ(bits(series[t].sar_uncertainty),
+                bits(other[t].sar_uncertainty));
     }
   }
 }

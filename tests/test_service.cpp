@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sesame/mathx/rng.hpp"
 #include "sesame/mw/bus.hpp"
 #include "sesame/platform/config_io.hpp"
+#include "sesame/platform/design_assets.hpp"
 #include "sesame/service/drain.hpp"
 #include "sesame/service/http.hpp"
 #include "sesame/service/service.hpp"
@@ -157,6 +159,62 @@ TEST(Service, ConcurrentTenantsGetCampaignCliBytes) {
     EXPECT_EQ(status.runs_completed, submissions[i].runs);
     EXPECT_EQ(svc.report(jobs[i]), expected_report_bytes(submissions[i]))
         << "tenant " << submissions[i].tenant;
+  }
+}
+
+// A hostile client cycles through distinct SESAME designs across two
+// executors, so the one-slot design library is replaced on almost every
+// lookup. No report byte or non-wall-clock metric shows whether a campaign
+// found its design held or built it.
+TEST(Service, DesignLibraryThrashLeavesReportsAndMetricsAlone) {
+  constexpr std::size_t kDesigns = 6;
+  std::vector<service::Submission> submissions;
+  for (std::size_t k = 0; k < kDesigns; ++k) {
+    platform::RunnerConfig config =
+        campaign::ScenarioFactory::default_scenario();
+    config.n_uavs = 2;
+    config.area = {0.0, 150.0, 0.0, 150.0};
+    config.n_persons = 3;
+    config.max_time_s = 150.0;
+    config.sesame_enabled = true;
+    config.descend_altitude_m = 12.25 + 0.5 * static_cast<double>(k);
+    service::Submission s;
+    s.tenant = k % 2 == 0 ? "alpha" : "bravo";
+    s.config_json = platform::config_to_json(config).to_json();
+    s.runs = 1;
+    s.seed = 100 + k;
+    submissions.push_back(std::move(s));
+  }
+
+  const std::uint64_t builds_before = platform::design_library().builds();
+  service::ServiceLimits limits;
+  limits.executors = 2;
+  service::CampaignService svc(limits);
+  std::vector<std::uint64_t> jobs;
+  for (const auto& s : submissions) {
+    const auto outcome = svc.submit(s);
+    ASSERT_TRUE(outcome.accepted) << outcome.reject_reason;
+    jobs.push_back(outcome.job_id);
+  }
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const auto status = svc.wait(jobs[k]);
+    ASSERT_EQ(status.state, service::JobState::kCompleted) << status.error;
+  }
+  EXPECT_GE(platform::design_library().builds() - builds_before, kDesigns);
+
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    service::ResolvedCampaign resolved = service::resolve(submissions[k]);
+    resolved.config.jobs = 1;
+    EXPECT_EQ(svc.report(jobs[k]),
+              campaign::campaign_json(
+                  campaign::run_campaign(resolved.factory, resolved.config)))
+        << "design " << k;
+  }
+  std::istringstream prom(svc.metrics_prometheus());
+  for (std::string line; std::getline(prom, line);) {
+    if (line.find("design") != std::string::npos) {
+      EXPECT_NE(line.find("_seconds"), std::string::npos) << line;
+    }
   }
 }
 

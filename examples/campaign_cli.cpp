@@ -18,8 +18,10 @@
 //   spoofing_lossy | baseline | chaos | fleet_1024); later flags override
 //   it. --config loads a platform::config_io JSON scenario file instead
 //   (mutually composable: preset, then config, then flags).
-// --seed is the campaign seed: run i simulates with
+// --seed is the campaign seed, any uint64: run i simulates with
 //   derive_run_seed(S, i), so even --runs 1 does not fly world seed S.
+//   --seed, --runs and --jobs take plain decimal digits; anything else
+//   exits 2.
 // --jobs 0 uses one worker per hardware thread. Campaign results are
 //   bit-identical for any --jobs value (docs/CAMPAIGN.md: determinism).
 // --fault-plan applies a message-fault schedule to the bus (drop/delay/
@@ -57,6 +59,7 @@
 #include "sesame/obs/sinks.hpp"
 #include "sesame/platform/config_io.hpp"
 #include "sesame/service/drain.hpp"
+#include "unsigned_flag.hpp"
 
 namespace {
 
@@ -116,13 +119,13 @@ int main(int argc, char** argv) {
       need_value(argv[i]);  // applied in the first pass
     } else if (std::strcmp(argv[i], "--runs") == 0) {
       campaign_config.runs =
-          static_cast<std::size_t>(std::atoll(need_value("--runs")));
+          parse_unsigned_flag<std::size_t>("--runs", need_value("--runs"));
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       campaign_config.jobs =
-          static_cast<std::size_t>(std::atoi(need_value("--jobs")));
+          parse_unsigned_flag<std::size_t>("--jobs", need_value("--jobs"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       campaign_config.seed =
-          static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
+          parse_unsigned_flag<std::uint64_t>("--seed", need_value("--seed"));
     } else if (std::strcmp(argv[i], "--uavs") == 0) {
       scenario.n_uavs = static_cast<std::size_t>(std::atoi(need_value("--uavs")));
     } else if (std::strcmp(argv[i], "--area-m") == 0) {

@@ -35,6 +35,7 @@
 #include "sesame/eddi/ode.hpp"
 #include "sesame/service/submission.hpp"
 #include "sesame/service/wire.hpp"
+#include "unsigned_flag.hpp"
 
 namespace {
 
@@ -303,10 +304,10 @@ int main(int argc, char** argv) {
       config_path = need_value(argv[i]);
     } else if (std::strcmp(argv[i], "--runs") == 0) {
       submission.runs =
-          static_cast<std::size_t>(std::atoll(need_value(argv[i])));
+          parse_unsigned_flag<std::size_t>("--runs", need_value(argv[i]));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       submission.seed =
-          static_cast<std::uint64_t>(std::atoll(need_value(argv[i])));
+          parse_unsigned_flag<std::uint64_t>("--seed", need_value(argv[i]));
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       submission.chaos = true;
     } else if (std::strcmp(argv[i], "--no-metrics") == 0) {

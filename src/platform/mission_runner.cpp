@@ -271,7 +271,7 @@ void MissionRunner::note_replan(std::size_t from, std::size_t to) {
 
 void MissionRunner::declare_lost(std::size_t i) {
   // The wreck's in-flight traffic must not arrive after the write-off.
-  world_->drop_pending_from(names_[i]);
+  world_->drop_pending_from(i);
 
   if (!mission_->is_active(i)) return;
 

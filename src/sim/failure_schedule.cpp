@@ -18,8 +18,6 @@ std::string failure_mode_name(FailureMode m) {
   return "unknown";
 }
 
-FailureMode failure_mode_from_name(const std::string& name);
-
 FailureMode failure_mode_from_name(const std::string& name) {
   for (const FailureMode m :
        {FailureMode::kMotorDegradation, FailureMode::kSensorDropout,
@@ -88,44 +86,52 @@ FailureSchedule FailureSchedule::chaos(std::uint64_t seed,
 }
 
 // Drops every message a blacked-out vehicle publishes (its radio is dead)
-// and every message addressed to its C2 topics (the uplink is the same
-// radio): telemetry, position fixes, pings. Pure time-window logic — no
-// randomness, so the gate never perturbs any other stream.
+// and every message on its four channels (the uplink is the same radio):
+// telemetry, position fixes, heartbeats, pings. Owners come from the
+// world's channel table, so a decision is two indexed loads. Pure
+// time-window logic — no randomness, so the gate never perturbs any other
+// stream.
 class FailureInjector::BlackoutGate : public mw::DeliveryPolicy {
  public:
+  explicit BlackoutGate(const World& world)
+      : world_(world), out_(world.num_uavs(), 0) {}
+
   mw::FaultDecision decide(const mw::MessageHeader& header) override {
     mw::FaultDecision d;
-    if (active_.empty()) return d;
-    for (const auto& name : active_) {
-      if (header.source == name || topic_of(header.topic, name)) {
-        d.drop = true;
-        return d;
-      }
-    }
+    if (none_out_) return d;
+    d.drop = out(world_.source_owner(header.source_id)) ||
+             out(world_.channel_owner(header.topic_id));
     return d;
   }
 
-  void set_active(std::vector<std::string> names) {
-    active_ = std::move(names);
+  /// Blacks out exactly the vehicles of the active blackout outages.
+  void set_active(const std::vector<Outage>& outages) {
+    std::fill(out_.begin(), out_.end(), std::uint8_t{0});
+    none_out_ = true;
+    for (const auto& o : outages) {
+      if (o.mode != FailureMode::kCommsBlackout) continue;
+      out_[o.uav] = 1;
+      none_out_ = false;
+    }
   }
 
  private:
-  static bool topic_of(std::string_view topic, const std::string& uav) {
-    // "uav/<name>/..." — any channel of the vehicle rides its radio.
-    if (!topic.starts_with("uav/")) return false;
-    const std::string_view rest = topic.substr(4);
-    return rest.size() > uav.size() && rest.substr(0, uav.size()) == uav &&
-           rest[uav.size()] == '/';
+  bool out(std::uint32_t uav) const {
+    return uav < out_.size() && out_[uav] != 0;
   }
 
-  std::vector<std::string> active_;
+  const World& world_;
+  std::vector<std::uint8_t> out_;  ///< one byte per vehicle, by fleet index
+  bool none_out_ = true;
 };
 
 FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
     : world_(&world), schedule_(std::move(schedule)) {
   schedule_.sort();
+  event_uav_.reserve(schedule_.events.size());
   for (const auto& e : schedule_.events) {
-    world_->uav_by_name(e.uav);  // throws on a schedule naming unknown UAVs
+    // Throws on a schedule naming unknown UAVs.
+    event_uav_.push_back(world_->uav_by_name(e.uav).fleet_index());
     if (e.time_s < 0.0) {
       throw std::invalid_argument("FailureInjector: negative event time");
     }
@@ -135,14 +141,14 @@ FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
         return e.mode == FailureMode::kCommsBlackout;
       });
   if (any_blackout) {
-    gate_ = std::make_unique<BlackoutGate>();
+    gate_ = std::make_unique<BlackoutGate>(*world_);
     gate_sub_ = world_->bus().add_delivery_policy(gate_.get());
   }
 }
 
 FailureInjector::~FailureInjector() = default;
 
-bool FailureInjector::comms_blacked_out(const std::string& uav) const {
+bool FailureInjector::comms_blacked_out(std::size_t uav) const {
   for (const auto& o : outages_) {
     if (o.mode == FailureMode::kCommsBlackout && o.uav == uav) return true;
   }
@@ -155,14 +161,10 @@ std::size_t FailureInjector::step(double now_s) {
   for (std::size_t i = 0; i < outages_.size();) {
     const Outage& o = outages_[i];
     if (!o.forever && now_s >= o.until_s) {
-      if (o.mode == FailureMode::kSensorDropout &&
-          !comms_blacked_out(o.uav)) {
-        // restore handled below after erase (may be re-blinded by a
-        // concurrent outage on the same vehicle)
-      }
       const Outage ended = o;
       outages_.erase(outages_.begin() + static_cast<std::ptrdiff_t>(i));
       if (ended.mode == FailureMode::kSensorDropout) {
+        // A concurrent dropout on the same vehicle keeps it blind.
         bool still_blind = false;
         for (const auto& other : outages_) {
           if (other.mode == FailureMode::kSensorDropout &&
@@ -172,7 +174,7 @@ std::size_t FailureInjector::step(double now_s) {
           }
         }
         if (!still_blind) {
-          world_->uav_by_name(ended.uav).set_vision_sensor_healthy(true);
+          world_->uav(ended.uav).set_vision_sensor_healthy(true);
         }
       }
       continue;
@@ -183,54 +185,39 @@ std::size_t FailureInjector::step(double now_s) {
   std::size_t newly_applied = 0;
   while (next_event_ < schedule_.events.size() &&
          schedule_.events[next_event_].time_s <= now_s) {
-    apply(schedule_.events[next_event_], now_s);
+    apply(schedule_.events[next_event_], event_uav_[next_event_], now_s);
     ++next_event_;
     ++applied_;
     ++newly_applied;
   }
 
-  if (gate_ != nullptr) {
-    std::vector<std::string> active;
-    for (const auto& o : outages_) {
-      if (o.mode == FailureMode::kCommsBlackout) active.push_back(o.uav);
-    }
-    gate_->set_active(std::move(active));
-  }
+  if (gate_ != nullptr) gate_->set_active(outages_);
   return newly_applied;
 }
 
-void FailureInjector::apply(const FailureEvent& event, double now_s) {
-  Uav& uav = world_->uav_by_name(event.uav);
+void FailureInjector::apply(const FailureEvent& event, std::size_t i,
+                            double now_s) {
+  Uav& uav = world_->uav(i);
   switch (event.mode) {
     case FailureMode::kMotorDegradation:
       uav.fail_motor();
       break;
-    case FailureMode::kSensorDropout: {
+    case FailureMode::kSensorDropout:
       uav.set_vision_sensor_healthy(false);
-      Outage o;
-      o.uav = event.uav;
-      o.mode = event.mode;
-      o.forever = event.duration_s <= 0.0;
-      o.until_s = now_s + event.duration_s;
-      outages_.push_back(std::move(o));
+      outages_.push_back(Outage{i, event.mode, now_s + event.duration_s,
+                                event.duration_s <= 0.0});
       break;
-    }
     case FailureMode::kBatteryCellFault:
       // Only collapse downward: a fault cannot recharge the pack.
       uav.battery().inject_thermal_fault(
           std::min(event.soc_after, uav.battery().soc()), event.temp_c);
       break;
-    case FailureMode::kCommsBlackout: {
-      Outage o;
-      o.uav = event.uav;
-      o.mode = event.mode;
-      o.forever = event.duration_s <= 0.0;
-      o.until_s = now_s + event.duration_s;
-      outages_.push_back(std::move(o));
+    case FailureMode::kCommsBlackout:
+      outages_.push_back(Outage{i, event.mode, now_s + event.duration_s,
+                                event.duration_s <= 0.0});
       break;
-    }
     case FailureMode::kHardCrash:
-      world_->crash_uav(event.uav);
+      world_->crash_uav(i);
       break;
   }
 }

@@ -98,13 +98,17 @@ struct FailureSchedule {
 /// per world step, *after* World::step, with the current mission clock.
 ///
 /// Comms blackouts install a DeliveryPolicy on the world's bus that drops
-/// every message published by the blacked-out vehicle and every message
-/// addressed to its C2 topics while the outage is active; the policy is
-/// time-driven and draws no randomness. Hard crashes go through
-/// World::crash_uav, which also drains the vehicle's queued delayed
-/// messages (a dead radio cannot deliver what it never finished sending).
+/// every message published by the blacked-out vehicle (its source) and
+/// every message on its four World channels (telemetry, position_fix,
+/// health, ping) while the outage is active; the policy reads the world's
+/// channel table, is time-driven and draws no randomness. Hard crashes go
+/// through World::crash_uav, which also drains the vehicle's queued
+/// delayed messages (a dead radio cannot deliver what it never finished
+/// sending).
 class FailureInjector {
  public:
+  /// Resolves every event's vehicle name to its fleet index once; throws
+  /// std::out_of_range on an unknown name.
   FailureInjector(World& world, FailureSchedule schedule);
   ~FailureInjector();
   FailureInjector(const FailureInjector&) = delete;
@@ -117,24 +121,26 @@ class FailureInjector {
   /// Events applied so far.
   std::size_t events_applied() const noexcept { return applied_; }
 
-  /// True while the named vehicle is inside an active comms blackout.
-  bool comms_blacked_out(const std::string& uav) const;
+  /// True while vehicle `uav` (fleet index) is inside an active comms
+  /// blackout.
+  bool comms_blacked_out(std::size_t uav) const;
 
   const FailureSchedule& schedule() const noexcept { return schedule_; }
 
  private:
   class BlackoutGate;  // DeliveryPolicy (defined in failure_schedule.cpp)
 
-  void apply(const FailureEvent& event, double now_s);
+  void apply(const FailureEvent& event, std::size_t uav, double now_s);
 
   World* world_;
   FailureSchedule schedule_;
+  std::vector<std::size_t> event_uav_;  ///< fleet index of each event's UAV
   std::size_t next_event_ = 0;
   std::size_t applied_ = 0;
 
   /// Active timed outages, expired by step().
   struct Outage {
-    std::string uav;
+    std::size_t uav = 0;  ///< fleet index
     FailureMode mode = FailureMode::kSensorDropout;
     double until_s = 0.0;  ///< <= start means never expires
     bool forever = false;

@@ -94,8 +94,24 @@ class World {
   Wind& wind() noexcept { return wind_; }
 
   /// Adds a UAV at `home`; returns its index. Wires telemetry publication
-  /// and the position-fix subscription.
+  /// and the position-fix subscription, and records the vehicle as the
+  /// owner of its source (its name) and of its four channels (telemetry,
+  /// position_fix, health, ping).
   std::size_t add_uav(UavConfig config, const geo::GeoPoint& home);
+
+  /// The fleet index of the vehicle that owns `topic` (one of its four
+  /// channels) or `source` (its name); kNoVehicle for anything else. The
+  /// fault layer's per-message gates read these instead of names.
+  static constexpr std::uint32_t kNoVehicle = 0xFFFFFFFFu;
+  std::uint32_t channel_owner(mw::TopicId topic) const noexcept {
+    return topic.index() < channels_.size() ? channels_[topic.index()].owner
+                                            : kNoVehicle;
+  }
+  std::uint32_t source_owner(mw::SourceId source) const noexcept {
+    return source.index() < source_owner_.size()
+               ? source_owner_[source.index()]
+               : kNoVehicle;
+  }
 
   std::size_t num_uavs() const noexcept { return uavs_.size(); }
   Uav& uav(std::size_t i) { return *uavs_.at(i).uav; }
@@ -137,30 +153,21 @@ class World {
     return heartbeat_period_s_ > 0.0;
   }
 
-  /// Total loss of the named vehicle: forces it into FlightMode::kCrashed,
+  /// Total loss of vehicle `i`: forces it into FlightMode::kCrashed,
   /// tears down its bus wiring (position-fix and ping subscriptions — a
   /// wreck answers nothing) and drains its queued delayed messages (a dead
   /// radio cannot deliver what it never finished sending). The slot stays
   /// in the fleet so surviving code can still inspect the wreck's state and
-  /// transfer its waypoints. Idempotent. Throws std::out_of_range on an
-  /// unknown name.
-  void crash_uav(const std::string& name);
+  /// transfer its waypoints. Idempotent. Throws std::out_of_range on a bad
+  /// index.
+  void crash_uav(std::size_t i);
 
-  /// Drops the pending fault-delayed deliveries published by the named
-  /// vehicle, leaving everyone else's in-flight traffic untouched. Returns
+  /// Drops the pending fault-delayed deliveries published by vehicle `i`,
+  /// leaving everyone else's in-flight traffic untouched. Returns
   /// the number dropped. (crash_uav calls this; exposed for the recovery
   /// layer, which must also drain when *declaring* a vehicle lost — e.g.
   /// after a blackout timeout — without a crash event.)
-  std::size_t drop_pending_from(const std::string& name);
-
-  /// Discards bus state left over from a completed run — pending
-  /// fault-delayed deliveries and the message journal — so a world (and
-  /// its bus) reused for a fresh scenario starts clean instead of
-  /// replaying the previous run's in-flight traffic into the next run's
-  /// subscribers. Vehicles, persons and the mission clock are untouched.
-  /// Teardown does the same implicitly. Returns the number of delayed
-  /// deliveries dropped.
-  std::size_t reset_pending_comms();
+  std::size_t drop_pending_from(std::size_t i);
 
   /// Advances the whole world by dt seconds: first drains bus messages whose
   /// fault-injected delay expires this step, then steps every UAV, publishes
@@ -199,8 +206,18 @@ class World {
 
   void publish_telemetry(const Slot& slot);
   std::vector<Slot> uavs_;
-  /// name → index into uavs_ (uav_by_name is on the per-tick hot path).
+  /// name → index into uavs_, for uav_by_name (names are the API edge).
   std::map<std::string, std::size_t, std::less<>> uav_index_;
+
+  /// Owner of each interned topic, indexed by TopicId; topics past the end
+  /// belong to no vehicle.
+  struct Channel {
+    std::uint32_t owner = kNoVehicle;
+    bool c2 = false;  ///< rides the owner's C2 link (telemetry, position_fix)
+  };
+  void own_channel(mw::TopicId topic, std::uint32_t owner, bool c2);
+  std::vector<Channel> channels_;
+  std::vector<std::uint32_t> source_owner_;  ///< indexed by SourceId
   std::vector<Person> persons_;
 
   class LinkGate;  // the lossy-link DeliveryPolicy (defined in world.cpp)

@@ -21,8 +21,9 @@ std::string health_topic(const std::string& uav_name) {
   return "uav/" + uav_name + "/health";
 }
 
-// Drops C2 traffic with probability 1 − link quality at the publishing
-// UAV's current ground distance from the GCS. Each vehicle's fading and
+// Drops C2 traffic (the channels add_uav marks: each vehicle's telemetry
+// and position_fix) with probability 1 − link quality at the channel
+// owner's current ground distance from the GCS. Each vehicle's fading and
 // drop draws come from its *own* SplitMix64-derived stream (keyed by the
 // vehicle's add-order index), so the world's random stream is untouched
 // AND one vehicle's traffic volume never perturbs another vehicle's link
@@ -30,16 +31,17 @@ std::string health_topic(const std::string& uav_name) {
 // link sequence bit-identical — the property chaos campaigns rely on.
 class World::LinkGate : public mw::DeliveryPolicy {
  public:
-  static constexpr std::uint32_t kNotC2 = 0xFFFFFFFFu;
-
   LinkGate(World& world, const LossyLinkConfig& config)
       : world_(world), link_(config.link), gcs_(config.gcs_enu),
         seed_(config.seed) {}
 
   mw::FaultDecision decide(const mw::MessageHeader& header) override {
     mw::FaultDecision d;
-    const std::uint32_t index = uav_for_topic(header);
-    if (index == kNotC2) return d;  // not C2 traffic
+    const std::uint32_t topic = header.topic_id.index();
+    if (topic >= world_.channels_.size() || !world_.channels_[topic].c2) {
+      return d;  // not C2 traffic
+    }
+    const std::uint32_t index = world_.channels_[topic].owner;
     mathx::Rng& rng = stream_for(index);
     const Uav& uav = *world_.uavs_[index].uav;
     const double distance_m =
@@ -59,51 +61,11 @@ class World::LinkGate : public mw::DeliveryPolicy {
     return streams_[index];
   }
 
-  /// Resolves "uav/<name>/telemetry" and "uav/<name>/position_fix" to the
-  /// index of the UAV whose link the message rides; kNotC2 for any other
-  /// topic. The per-TopicId resolution is memoised: steady-state C2
-  /// traffic costs one indexed load here, not a topic-string parse.
-  std::uint32_t uav_for_topic(const mw::MessageHeader& header) {
-    const std::uint32_t idx = header.topic_id.index();
-    if (idx < cache_.size() && cache_[idx].known) return cache_[idx].uav_index;
-    const std::string_view topic = header.topic;
-    bool cacheable = true;
-    const std::uint32_t uav_index = parse_topic(topic, cacheable);
-    if (cacheable && header.topic_id.valid()) {
-      if (cache_.size() <= idx) cache_.resize(idx + 1);
-      cache_[idx] = {true, uav_index};
-    }
-    return uav_index;
-  }
-
-  /// `cacheable` is cleared for topics that *look like* C2 traffic but name
-  /// an unknown UAV — one added later must not inherit a stale miss.
-  std::uint32_t parse_topic(std::string_view topic, bool& cacheable) const {
-    if (!topic.starts_with("uav/")) return kNotC2;
-    const auto slash = topic.find('/', 4);
-    if (slash == std::string_view::npos) return kNotC2;
-    const std::string_view suffix = topic.substr(slash);
-    if (suffix != "/telemetry" && suffix != "/position_fix") return kNotC2;
-    const std::string_view name = topic.substr(4, slash - 4);
-    if (const auto it = world_.uav_index_.find(name);
-        it != world_.uav_index_.end()) {
-      return static_cast<std::uint32_t>(it->second);
-    }
-    cacheable = false;
-    return kNotC2;
-  }
-
-  struct CacheSlot {
-    bool known = false;
-    std::uint32_t uav_index = kNotC2;
-  };
-
   World& world_;
   CommLink link_;
   geo::EnuPoint gcs_;
   std::uint64_t seed_;
   std::vector<mathx::Rng> streams_;  ///< indexed by vehicle add-order
-  std::vector<CacheSlot> cache_;     ///< indexed by TopicId
 };
 
 World::World(const geo::GeoPoint& origin, std::uint64_t seed)
@@ -117,11 +79,6 @@ World::~World() {
 }
 World::World(World&&) noexcept = default;
 World& World::operator=(World&&) noexcept = default;
-
-std::size_t World::reset_pending_comms() {
-  bus_.clear_journal();
-  return bus_.clear_delayed();
-}
 
 void World::enable_lossy_links(const LossyLinkConfig& config) {
   if (link_gate_ != nullptr) {
@@ -140,29 +97,43 @@ std::size_t World::add_uav(UavConfig config, const geo::GeoPoint& home) {
   slot.uav = std::make_unique<Uav>(std::move(config), frame_, home, rng_,
                                    fleet_, fleet_index);
   Uav* raw = slot.uav.get();
+  const std::string& name = raw->name();
+  const auto index = static_cast<std::uint32_t>(uavs_.size());
   uav_grid_stale_ = true;
   // The fix channel is trusted verbatim — the deliberate vulnerability.
+  const mw::TopicId fix_topic = bus_.intern_topic(position_fix_topic(name));
   slot.fix_subscription = bus_.subscribe<geo::GeoPoint>(
-      position_fix_topic(raw->name()),
-      [raw](const mw::MessageHeader&, const geo::GeoPoint& fix) {
+      fix_topic, [raw](const mw::MessageHeader&, const geo::GeoPoint& fix) {
         raw->correct_estimate(fix);
       });
-  slot.telemetry_topic = bus_.intern_topic(telemetry_topic(raw->name()));
-  slot.health_topic = bus_.intern_topic(health_topic(raw->name()));
-  slot.source = bus_.intern_source(raw->name());
+  slot.telemetry_topic = bus_.intern_topic(telemetry_topic(name));
+  slot.health_topic = bus_.intern_topic(health_topic(name));
+  slot.source = bus_.intern_source(name);
   // Liveness ping: a reachable vehicle answers with an immediate telemetry
   // publication (the pong rides the same lossy C2 link as everything else).
   // The ping itself is droppable too — a blacked-out vehicle never hears it.
-  const std::size_t index = uavs_.size();
+  const mw::TopicId ping_topic_id = bus_.intern_topic(ping_topic(name));
   slot.ping_subscription = bus_.subscribe<double>(
-      ping_topic(raw->name()),
-      [this, index](const mw::MessageHeader&, const double&) {
+      ping_topic_id, [this, index](const mw::MessageHeader&, const double&) {
         const Slot& s = uavs_[index];
         if (s.uav->mode() != FlightMode::kCrashed) publish_telemetry(s);
       });
-  uav_index_.emplace(raw->name(), uavs_.size());
+  own_channel(slot.telemetry_topic, index, true);
+  own_channel(fix_topic, index, true);
+  own_channel(slot.health_topic, index, false);
+  own_channel(ping_topic_id, index, false);
+  if (source_owner_.size() <= slot.source.index()) {
+    source_owner_.resize(slot.source.index() + 1, kNoVehicle);
+  }
+  source_owner_[slot.source.index()] = index;
+  uav_index_.emplace(name, index);
   uavs_.push_back(std::move(slot));
   return uavs_.size() - 1;
+}
+
+void World::own_channel(mw::TopicId topic, std::uint32_t owner, bool c2) {
+  if (channels_.size() <= topic.index()) channels_.resize(topic.index() + 1);
+  channels_[topic.index()] = Channel{owner, c2};
 }
 
 void World::enable_health_heartbeats(double period_s) {
@@ -174,21 +145,17 @@ void World::enable_health_heartbeats(double period_s) {
   next_heartbeat_s_ = time_s_ + period_s;
 }
 
-void World::crash_uav(const std::string& name) {
-  const auto it = uav_index_.find(name);
-  if (it == uav_index_.end()) {
-    throw std::out_of_range("World::crash_uav: " + name);
-  }
-  Slot& slot = uavs_[it->second];
+void World::crash_uav(std::size_t i) {
+  Slot& slot = uavs_.at(i);
   if (slot.uav->mode() == FlightMode::kCrashed) return;
   slot.uav->force_crash();
   slot.fix_subscription.reset();
   slot.ping_subscription.reset();
-  drop_pending_from(name);
+  drop_pending_from(i);
 }
 
-std::size_t World::drop_pending_from(const std::string& name) {
-  return bus_.clear_delayed(bus_.intern_source(name));
+std::size_t World::drop_pending_from(std::size_t i) {
+  return bus_.clear_delayed(uavs_.at(i).source);
 }
 
 Uav& World::uav_by_name(const std::string& name) {

@@ -11,8 +11,10 @@
 // outcome bytes (campaign, summary and runs). A change that only moves
 // instrumentation counters re-pins the first digest and leaves the second
 // alone.
-// `fleet_1024` is left out because it is slow; CI runs it separately
-// under --fail-on-violation.
+// `fleet_1024` is pinned separately, at two runs and two workers: it is
+// the one preset that flies hundreds of concurrent comms blackouts and
+// several hard crashes per run, so it pins the fault layer's per-message
+// gates. CI also runs it under --fail-on-violation.
 //
 // Reports carry no SafeML value, so a 1-ULP drift in a monitor that
 // happens not to flip a threshold leaves them unchanged. The tick-level
@@ -149,6 +151,25 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ReportGolden>& info) {
       return std::string(info.param.preset);
     });
+
+// Seed 7's first two fleet_1024 runs: 1,024 vehicles each, with chaos
+// schedules that hold hundreds of overlapping comms blackouts and several
+// hard crashes.
+TEST(GoldenFleet, Fleet1024ReportDigestIsPinnedAtTwoJobs) {
+  const auto factory = campaign::ScenarioFactory::preset("fleet_1024");
+  campaign::CampaignConfig config;
+  config.runs = 2;
+  config.jobs = 2;
+  config.seed = kSeed;
+  auto result = campaign::run_campaign(factory, config);
+  const std::uint64_t report = fnv1a64(campaign::campaign_json(result));
+  EXPECT_EQ(report, 0x900c314496a241e0ULL)
+      << "got 0x" << std::hex << report;
+  result.metrics = {};
+  const std::uint64_t outcome = fnv1a64(campaign::campaign_json(result));
+  EXPECT_EQ(outcome, 0x85323e788f14539bULL)
+      << "outcome: got 0x" << std::hex << outcome;
+}
 
 /// Digest of run 0's per-tick assurance outputs.
 std::uint64_t tick_digest(const std::string& preset) {

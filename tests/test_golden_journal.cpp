@@ -3,17 +3,20 @@
 // Runs a fixed, fully seeded "faulty mission" at the bus level — telemetry
 // traffic through a FaultInjector (drop / delay / duplicate / reorder), an
 // ACL-restricted command topic probed by an attacker, and subscriber churn
-// mid-run — and digests everything observable about it: the journal, the
-// exact delivery order each subscriber saw, the fault counters, and the
-// deterministic slice of the metrics snapshot.
+// mid-run — and digests everything observable about it: the journal (every
+// publication attempt, as a tap sees it), the exact delivery order each
+// subscriber saw, the fault counters, and the deterministic slice of the
+// metrics snapshot.
 //
 // The expected constants below were recorded on the string-keyed bus
-// before the topic-interning optimisation (PR "faster-than-real-time hot
-// path"). They pin the externally observable semantics of the publish →
-// journal → taps → ACL → fault-policy → delivery pipeline: any change to
-// delivery order, fault realization, ACL accounting, or journal contents
-// shows up as a digest mismatch here. An optimisation must reproduce them
-// bit for bit.
+// before the topic-interning optimisation, when the bus still kept a
+// journal of its own; a recording tap, added before the first publish,
+// sees exactly the stream that journal held. They pin the externally
+// observable semantics of the publish → taps → ACL → fault-policy →
+// delivery pipeline: any change to delivery order, fault realization, ACL
+// accounting, or the attempt stream shows up as a digest mismatch here. An
+// optimisation must reproduce them bit for bit.
+#include <any>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -72,6 +75,20 @@ GoldenRun run_golden_mission() {
   mw::Bus bus;
   obs::MetricsRegistry metrics;
   bus.set_metrics(&metrics);
+
+  // The journal: every attempt, before the ACL, in seq order.
+  Digest journal;
+  std::size_t journal_size = 0;
+  auto journal_tap = bus.add_tap([&journal, &journal_size](
+                                     const mw::MessageHeader& h,
+                                     const std::any&, std::type_index type) {
+    journal.u64(h.seq);
+    journal.f64(h.time_s);
+    journal.str(h.source);
+    journal.str(h.topic);
+    journal.str(type.name());
+    ++journal_size;
+  });
 
   // The CI stress plan: seed 1337, drop 0.10 / delay 0.20 (2 drains,
   // reordering) / duplicate 0.10 on every */telemetry topic.
@@ -137,14 +154,6 @@ GoldenRun run_golden_mission() {
   for (int i = 0; i < 4; ++i) bus.drain_delayed();
 
   GoldenRun run;
-  Digest journal;
-  for (const auto& entry : bus.journal()) {
-    journal.u64(entry.header.seq);
-    journal.f64(entry.header.time_s);
-    journal.str(entry.header.source);
-    journal.str(entry.header.topic);
-    journal.str(entry.type_name);
-  }
   Digest metric_digest;
   const obs::MetricsSnapshot snap = metrics.snapshot();
   for (const auto& s : snap.samples) {
@@ -164,7 +173,7 @@ GoldenRun run_golden_mission() {
   run.journal_digest = journal.h;
   run.delivery_digest = delivery.h;
   run.metrics_digest = metric_digest.h;
-  run.journal_size = bus.journal().size();
+  run.journal_size = journal_size;
   run.deliveries = delivered;
   run.published = bus.messages_published();
   run.rejected = bus.rejected_publications();

@@ -345,10 +345,8 @@ TEST(MotorFailurePipeline, DegradedPropulsionRaisesRiskButMissionFinishes) {
 
 TEST(Determinism, FaultPlanRunIsBitReproducible) {
   // Same seed + same fault plan + lossy links => identical event journal
-  // and identical recorded state series, run after run.
-  //
-  // JournalEntry holds views into bus-owned name tables, so the journal is
-  // copied into owning strings here *before* the runner (and its bus) dies.
+  // (every publication attempt, recorded by a tap) and identical recorded
+  // state series, run after run.
   struct JournalRow {
     std::uint64_t seq;
     double time_s;
@@ -373,13 +371,15 @@ TEST(Determinism, FaultPlanRunIsBitReproducible) {
     cfg.fault_plan = plan;
     cfg.spoofing = platform::SpoofingEvent{"uav1", 40.0, 2.0};
     platform::MissionRunner runner(cfg);
-    auto result = runner.run();
+    // Header views point into the bus's name tables: copy them out.
     std::vector<JournalRow> rows;
-    for (const auto& e : runner.world().bus().journal()) {
-      rows.push_back({e.header.seq, e.header.time_s,
-                      std::string(e.header.source), std::string(e.header.topic),
-                      std::string(e.type_name)});
-    }
+    auto tap = runner.world().bus().add_tap(
+        [&rows](const mw::MessageHeader& h, const std::any&,
+                std::type_index type) {
+          rows.push_back({h.seq, h.time_s, std::string(h.source),
+                          std::string(h.topic), type.name()});
+        });
+    auto result = runner.run();
     return std::make_pair(std::move(result), std::move(rows));
   };
   const auto [a, journal_a] = run_once();

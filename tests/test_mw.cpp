@@ -1,4 +1,4 @@
-// Tests for the pub/sub middleware: delivery, typing, taps, journal,
+// Tests for the pub/sub middleware: delivery, typing, taps,
 // subscription lifetimes, and the deliberate injectability property the
 // spoofing scenario relies on.
 #include <string>
@@ -161,23 +161,24 @@ TEST(Bus, TapCanInspectPayload) {
   EXPECT_DOUBLE_EQ(value, 35.5);
 }
 
-TEST(Bus, JournalRecordsHeaders) {
+TEST(Bus, TapHeadersCarrySeqTimeSourceAndType) {
   mw::Bus bus;
+  std::vector<mw::MessageHeader> headers;
+  std::vector<std::type_index> types;
+  auto tap = bus.add_tap([&](const mw::MessageHeader& h, const std::any&,
+                             std::type_index type) {
+    headers.push_back(h);
+    types.push_back(type);
+  });
   bus.publish("a", 1, "alice", 0.5);
-  bus.publish("b", 2, "bob", 1.5);
-  ASSERT_EQ(bus.journal().size(), 2u);
-  EXPECT_EQ(bus.journal()[0].header.source, "alice");
-  EXPECT_EQ(bus.journal()[1].header.topic, "b");
-  bus.clear_journal();
-  EXPECT_TRUE(bus.journal().empty());
-}
-
-TEST(Bus, JournalCanBeDisabled) {
-  mw::Bus bus;
-  bus.enable_journal(false);
-  bus.publish("a", 1, "n", 0.0);
-  EXPECT_TRUE(bus.journal().empty());
-  EXPECT_EQ(bus.messages_published(), 1u);
+  bus.publish("b", 2.0, "bob", 1.5);
+  ASSERT_EQ(headers.size(), 2u);
+  EXPECT_EQ(headers[0].seq + 1, headers[1].seq);
+  EXPECT_EQ(headers[0].source, "alice");
+  EXPECT_DOUBLE_EQ(headers[1].time_s, 1.5);
+  EXPECT_EQ(headers[1].topic, "b");
+  EXPECT_EQ(types[0], std::type_index(typeid(int)));
+  EXPECT_EQ(types[1], std::type_index(typeid(double)));
 }
 
 // The security-critical property the paper's attack scenario exploits:
@@ -289,7 +290,7 @@ TEST(BusMetrics, RejectedPublicationsAreCounted) {
   bus.restrict_publisher("cmd", "operator");
   bus.publish("cmd", 1, "attacker", 0.0);
   EXPECT_DOUBLE_EQ(reg.counter("sesame.mw.rejected_total").value(), 1.0);
-  // The attempt still shows in publish_total, mirroring the journal.
+  // The attempt still shows in publish_total, as taps see it.
   EXPECT_DOUBLE_EQ(
       reg.counter("sesame.mw.publish_total", {{"topic", "cmd"}}).value(), 1.0);
 }
@@ -535,7 +536,6 @@ TEST(FaultInjection, DropRuleSuppressesDeliveryButCountsAsPublished) {
   // Accepted by the transport, lost on the link: still "published".
   EXPECT_EQ(bus.messages_published(), 2u);
   EXPECT_EQ(bus.faults_dropped(), 1u);
-  EXPECT_EQ(bus.journal().size(), 2u);  // the journal records the attempt
 }
 
 TEST(FaultInjection, DelayedMessageArrivesAfterNDrains) {
@@ -810,7 +810,6 @@ TEST(Bus, ReusedBusStartsSecondRunClean) {
 
   // Between runs: the reset the World performs on reuse/teardown.
   bus.clear_delayed();
-  bus.clear_journal();
 
   // Run 2: a fresh subscriber must never see run 1's in-flight message.
   std::vector<int> run2_received;
@@ -825,47 +824,6 @@ TEST(Bus, ReusedBusStartsSecondRunClean) {
   bus.drain_delayed();
   ASSERT_EQ(run2_received.size(), 1u);
   EXPECT_EQ(run2_received[0], 22);  // run 2 traffic only
-}
-
-TEST(BusJournal, RingBufferKeepsNewestAndCountsDrops) {
-  mw::Bus bus;
-  bus.set_journal_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    bus.publish("t" + std::to_string(i), i, "src", static_cast<double>(i));
-  }
-  const auto entries = bus.journal();
-  ASSERT_EQ(entries.size(), 4u);
-  // The ring keeps the newest entries in publication order.
-  EXPECT_EQ(entries[0].header.topic, "t6");
-  EXPECT_EQ(entries[1].header.topic, "t7");
-  EXPECT_EQ(entries[2].header.topic, "t8");
-  EXPECT_EQ(entries[3].header.topic, "t9");
-  EXPECT_EQ(bus.journal_dropped(), 6u);
-}
-
-TEST(BusJournal, ClearResetsRingAndDropCounter) {
-  mw::Bus bus;
-  bus.set_journal_capacity(2);
-  for (int i = 0; i < 5; ++i) bus.publish("t", i, "src", 0.0);
-  EXPECT_EQ(bus.journal_dropped(), 3u);
-  bus.clear_journal();
-  EXPECT_TRUE(bus.journal().empty());
-  EXPECT_EQ(bus.journal_dropped(), 0u);
-  bus.publish("t", 9, "src", 1.0);
-  ASSERT_EQ(bus.journal().size(), 1u);
-  EXPECT_EQ(bus.journal_dropped(), 0u);
-}
-
-TEST(BusJournal, ShrinkingCapacityKeepsNewestEntries) {
-  mw::Bus bus;
-  for (int i = 0; i < 6; ++i) {
-    bus.publish("t" + std::to_string(i), i, "src", 0.0);
-  }
-  bus.set_journal_capacity(3);
-  const auto entries = bus.journal();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].header.topic, "t3");
-  EXPECT_EQ(entries[2].header.topic, "t5");
 }
 
 TEST(Bus, DeliveryOrderSurvivesUnsubscribe) {

@@ -928,3 +928,170 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistogramMergeProperties,
                          ::testing::Values(7u, 77u, 777u));
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Comms blackouts: the fault layer drops exactly what the name rule drops.
+// ---------------------------------------------------------------------------
+
+#include <set>
+#include <string_view>
+
+#include "sesame/sim/failure_schedule.hpp"
+#include "sesame/sim/world.hpp"
+
+namespace {
+
+/// The blackout rule spelled on names: a message is lost when its source is
+/// a blacked-out vehicle, or its topic is `uav/<name>/...` for one.
+bool name_rule_drops(std::string_view topic, std::string_view source,
+                     const std::vector<std::string>& blacked_out) {
+  for (const auto& name : blacked_out) {
+    if (source == name) return true;
+    if (topic.starts_with("uav/") && topic.size() > 4 + name.size() &&
+        topic.substr(4, name.size()) == name && topic[4 + name.size()] == '/') {
+      return true;
+    }
+  }
+  return false;
+}
+
+class BlackoutRuleProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BlackoutRuleProperty, GateDropsExactlyWhatTheNameRuleDrops) {
+  mathx::Rng rng(GetParam());
+  // Names that prefix one another ("u1", "u11", "u1x") catch a rule that
+  // matches a topic by name prefix alone.
+  std::vector<std::string> pool{"u1", "u11", "u2", "u1x", "uav", "alpha"};
+  rng.shuffle(pool);
+  const std::size_t n = 1 + rng.uniform_index(6);
+  const std::vector<std::string> fleet(pool.begin(), pool.begin() + n);
+
+  sim::World world(geo::GeoPoint{35.1856, 33.3823, 0.0}, GetParam());
+  for (const auto& name : fleet) {
+    sim::UavConfig cfg;
+    cfg.name = name;
+    world.add_uav(cfg, geo::GeoPoint{35.1856, 33.3823, 0.0});
+  }
+
+  // Overlapping windows, some on one vehicle, some never ending; event
+  // times fall between the integer ticks the injector is stepped at.
+  constexpr int kTicks = 40;
+  sim::FailureSchedule schedule;
+  const std::size_t n_events = rng.uniform_index(3 * n + 1);
+  for (std::size_t e = 0; e < n_events; ++e) {
+    sim::FailureEvent ev;
+    ev.uav = fleet[rng.uniform_index(n)];
+    ev.mode = sim::FailureMode::kCommsBlackout;
+    ev.time_s = rng.uniform(0.0, kTicks);
+    ev.duration_s = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.5, 15.0);
+    schedule.events.push_back(ev);
+  }
+  sim::FailureInjector injector(world, schedule);
+
+  // The oracle's own account of the windows: an event starts at the first
+  // tick at or after its time and ends at the first tick at or after
+  // start + duration.
+  const auto active_at = [&](double now) {
+    std::vector<std::string> names;
+    for (const auto& ev : schedule.events) {
+      const double start = std::ceil(ev.time_s);
+      if (start > now) continue;
+      if (ev.duration_s > 0.0 && now >= start + ev.duration_s) continue;
+      names.push_back(ev.uav);
+    }
+    return names;
+  };
+
+  // Every attempt (pongs to pings included) is seen by the tap; every
+  // delivery lands in `delivered` by sequence number.
+  struct Attempt {
+    std::uint64_t seq;
+    std::string topic;
+    std::string source;
+  };
+  std::vector<Attempt> attempts;
+  auto tap = world.bus().add_tap(
+      [&](const mw::MessageHeader& h, const std::any&, std::type_index) {
+        attempts.push_back({h.seq, std::string(h.topic), std::string(h.source)});
+      });
+  std::set<std::uint64_t> delivered;
+  const auto record = [&delivered](const mw::MessageHeader& h) {
+    delivered.insert(h.seq);
+  };
+  std::vector<mw::Subscription> subs;
+  for (const auto& name : fleet) {
+    subs.push_back(world.bus().subscribe<sim::Telemetry>(
+        sim::telemetry_topic(name),
+        [&](const mw::MessageHeader& h, const sim::Telemetry&) { record(h); }));
+    subs.push_back(world.bus().subscribe<geo::GeoPoint>(
+        sim::position_fix_topic(name),
+        [&](const mw::MessageHeader& h, const geo::GeoPoint&) { record(h); }));
+    subs.push_back(world.bus().subscribe<sim::HealthHeartbeat>(
+        sim::health_topic(name),
+        [&](const mw::MessageHeader& h, const sim::HealthHeartbeat&) {
+          record(h);
+        }));
+    subs.push_back(world.bus().subscribe<double>(
+        sim::ping_topic(name),
+        [&](const mw::MessageHeader& h, const double&) { record(h); }));
+  }
+  const std::vector<std::string> plain_topics{"gcs/commands", "ids/alerts"};
+  for (const auto& topic : plain_topics) {
+    subs.push_back(world.bus().subscribe<int>(
+        topic, [&](const mw::MessageHeader& h, const int&) { record(h); }));
+  }
+  std::vector<std::string> sources = fleet;
+  for (const char* s : {"gcs", "attacker", "collaborative_localization"}) {
+    sources.emplace_back(s);
+  }
+
+  std::size_t dropped = 0;
+  for (int tick = 0; tick <= kTicks; ++tick) {
+    const double now = tick;
+    injector.step(now);
+    const std::vector<std::string> active = active_at(now);
+    const std::size_t first = attempts.size();
+    for (int m = 0; m < 24; ++m) {
+      const std::string& source = sources[rng.uniform_index(sources.size())];
+      const std::size_t pick = rng.uniform_index(4 * n + plain_topics.size());
+      if (pick >= 4 * n) {
+        world.bus().publish(plain_topics[pick - 4 * n], m, source, now);
+        continue;
+      }
+      const std::string& uav = fleet[pick / 4];
+      switch (pick % 4) {
+        case 0:
+          world.bus().publish(sim::telemetry_topic(uav), sim::Telemetry{},
+                              source, now);
+          break;
+        case 1:
+          world.bus().publish(sim::position_fix_topic(uav),
+                              geo::GeoPoint{35.1856, 33.3823, 0.0}, source,
+                              now);
+          break;
+        case 2:
+          world.bus().publish(sim::health_topic(uav), sim::HealthHeartbeat{},
+                              source, now);
+          break;
+        default:
+          world.bus().publish(sim::ping_topic(uav), now, source, now);
+          break;
+      }
+    }
+    for (std::size_t i = first; i < attempts.size(); ++i) {
+      const Attempt& a = attempts[i];
+      const bool drop = name_rule_drops(a.topic, a.source, active);
+      dropped += drop;
+      EXPECT_EQ(delivered.contains(a.seq), !drop)
+          << a.topic << " from " << a.source << " at t=" << now
+          << " seed=" << GetParam();
+    }
+  }
+  EXPECT_EQ(world.bus().faults_dropped(), dropped);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BlackoutRuleProperty,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u,
+                                           55u, 89u));
+
+}  // namespace

@@ -5,7 +5,8 @@
 # headline contracts:
 #   1. the daemon comes up and answers /healthz;
 #   2. a campaign submitted over HTTP returns report bytes identical to
-#      campaign_cli --json for the same (preset, config, runs, seed);
+#      campaign_cli --json for the same (preset, config, runs, seed),
+#      including a seed past 2^63;
 #   3. the same submission over the framed wire transport returns the
 #      same bytes (and hits the result cache);
 #   4. hostile requests are answered, not dropped: a Content-Length of -1
@@ -58,6 +59,18 @@ echo "ok: daemon up (http=$HTTP_PORT wire=$WIRE_PORT)"
 cmp "$WORK/cli.json" "$WORK/http.json" \
   || fail "HTTP report differs from campaign_cli bytes"
 echo "ok: HTTP report byte-identical to campaign_cli"
+# Seeds past 2^63 as well: both CLIs parse the whole uint64 range, as the
+# service's JSON path does.
+MAX_SEED=18446744073709551615
+"$CLI" --preset nominal --config "$WORK/cfg.json" --runs 1 --seed $MAX_SEED \
+  --json "$WORK/cli_max.json" >/dev/null
+"$SUBMIT" --port "$HTTP_PORT" --preset nominal --config "$WORK/cfg.json" \
+  --runs 1 --seed $MAX_SEED --out "$WORK/http_max.json" 2>/dev/null
+cmp "$WORK/cli_max.json" "$WORK/http_max.json" \
+  || fail "seed $MAX_SEED: HTTP report differs from campaign_cli bytes"
+grep -q "\"seed\":\"$MAX_SEED\"}" "$WORK/http_max.json" \
+  || fail "seed $MAX_SEED not in the report"
+echo "ok: seed $MAX_SEED byte-identical over HTTP and campaign_cli"
 
 # --- 3. wire submission: same bytes, served from the cache ------------------
 "$SUBMIT" --port "$WIRE_PORT" --transport wire --preset nominal \
